@@ -8,6 +8,20 @@ is done through explicit pairwise comparisons so that every branch the
 solver takes lands in a decision trace, and every exact tie is resolved by a
 shadow direction rather than by an ad-hoc rule.
 
+Phase 1 is the priority-queue form of Hu-Tucker. A block is the run of
+internal nodes between two surviving leaves, plus those leaves; its nodes
+are pairwise combinable, and each block keeps its nodes in a min-heap. A
+second heap orders the blocks by their best pair, which is their two
+smallest nodes because the (weight, shadow) order is compatible with
+addition. Consuming a leaf merges the blocks on both sides of it, the
+smaller heap into the larger. Each combine step costs O(log n) comparisons
+plus the merging, which moves each node O(log n) times, so phase 1 makes
+O(n log n) comparisons in practice and O(n log^2 n) at worst, where
+comparing every combinable pair in every round is up to cubic. The shadow
+makes the order on candidate pairs strict and total, so the minimum, and
+with it the tree, does not depend on the order in which the heaps meet the
+candidates.
+
 Two independent oracles ship alongside: an interval dynamic program for the
 optimal cost, and exhaustive enumeration of all ordered trees for small n.
 """
@@ -207,25 +221,109 @@ class _SeqNode:
         self.is_leaf = is_leaf
 
 
-def _difference_coeffs(
-    plus_a: _SeqNode, plus_b: _SeqNode, minus_a: _SeqNode, minus_b: _SeqNode
-) -> dict[int, int]:
-    """Coefficients of (plus pair) minus (minus pair); shared nodes cancel."""
-    plus = [plus_a, plus_b]
-    minus = []
-    for node in (minus_a, minus_b):
-        for k, candidate in enumerate(plus):
-            if candidate is node:
-                del plus[k]
-                break
-        else:
-            minus.append(node)
-    coeffs: dict[int, int] = {}
-    for node in plus:
-        coeffs.update(dict.fromkeys(node.leaves, 1))
-    for node in minus:
-        coeffs.update(dict.fromkeys(node.leaves, -1))
-    return coeffs
+class _Block:
+    """The internal nodes between two consecutive surviving leaves, plus those leaves.
+
+    Every two nodes of a block are combinable, and every combinable pair lies
+    in one block. `left` and `right` are the end leaves (None past the first
+    or last surviving leaf). `heap` is a binary min-heap once it holds three
+    or more nodes; two nodes are the block's only pair and stay unordered.
+    `lo` and `hi` are the block's two smallest nodes in sequence order and
+    `total` their weight sum. `rank` orders blocks left to right and `slot`
+    is the block's index in the heap of blocks.
+    """
+
+    __slots__ = ("heap", "left", "right", "prev", "next", "rank", "slot", "lo", "hi", "total")
+
+    def __init__(self, rank: int, left: _SeqNode, right: _SeqNode, total):
+        self.heap = [left, right]
+        self.left = self.lo = left
+        self.right = self.hi = right
+        self.prev = self.next = None
+        self.rank = self.slot = rank
+        self.total = total
+
+
+# Binary heap primitives over a `less(a, b)` predicate. Every call of `less`
+# is a recorded comparison. With `track`, each item's `slot` follows its
+# index so it can be removed from the middle of the heap.
+
+
+def _sift_up(heap: list, i: int, top: int, less: Callable, track: bool) -> int:
+    """Move heap[i] up while it beats its parent, stopping at index `top`.
+
+    Returns the item's final index.
+    """
+    item = heap[i]
+    while i > top:
+        parent = (i - 1) >> 1
+        above = heap[parent]
+        if not less(item, above):
+            break
+        heap[i] = above
+        if track:
+            above.slot = i
+        i = parent
+    heap[i] = item
+    if track:
+        item.slot = i
+    return i
+
+
+def _sift_down(heap: list, i: int, less: Callable, track: bool) -> None:
+    """Bottom-up sift: follow the smaller children to a leaf, then rise.
+
+    One comparison per level on the way down, which suits items that sink
+    far, as merged nodes and updated block keys do.
+    """
+    item = heap[i]
+    start = i
+    size = len(heap)
+    child = 2 * i + 1
+    while child < size:
+        if child + 1 < size and less(heap[child + 1], heap[child]):
+            child += 1
+        below = heap[child]
+        heap[i] = below
+        if track:
+            below.slot = i
+        i = child
+        child = 2 * i + 1
+    heap[i] = item
+    _sift_up(heap, i, start, less, track)
+
+
+def _remove_at(heap: list, i: int, less: Callable, track: bool) -> None:
+    """Remove heap[i] for real; the last item takes its place and re-sifts."""
+    last = heap.pop()
+    if i == len(heap):
+        return
+    heap[i] = last
+    if not track and len(heap) < 3:
+        return  # two nodes of a block stay unordered
+    # `last` came from this heap, so it cannot rise above the root.
+    if _sift_up(heap, i, 2, less, track) == i:
+        _sift_down(heap, i, less, track)
+
+
+def _push_node(heap: list, node: _SeqNode, less: Callable) -> None:
+    """Push onto a node heap, ordering a two-node heap's pair first."""
+    if len(heap) == 2 and less(heap[1], heap[0]):
+        heap.reverse()
+    heap.append(node)
+    if len(heap) > 2:
+        _sift_up(heap, len(heap) - 1, 0, less, False)
+
+
+def _absorb(heap: list, block: _Block, leaf: _SeqNode, less: Callable) -> list:
+    """Union of `heap` and `block`'s nodes but `leaf`, smaller heap into larger."""
+    other = block.heap
+    _remove_at(other, other.index(leaf), less, False)
+    if len(heap) < len(other):
+        heap, other = other, heap
+    for node in other:
+        _push_node(heap, node, less)
+    return heap
 
 
 def _phase1(
@@ -236,49 +334,106 @@ def _phase1(
 ) -> Tree:
     """Run the combine loop; returns the phase-1 combine shape.
 
-    `judge(coeffs, diff)` must return -1 when the later (minuend) candidate
-    pair is to win the comparison and +1 when the incumbent (subtrahend)
-    keeps it; 0 is not an answer. The incumbent is always the earlier pair in
-    left-to-right order, which is what makes the emitted functionals start
-    with a -1 coefficient.
+    `judge(coeffs, diff)` must return -1 when the later (minuend) operand is
+    the smaller and +1 when the earlier (subtrahend) one is; 0 is not an
+    answer. Operands are two nodes or two blocks' best pairs, and the earlier
+    one in left-to-right order is always the subtrahend, which is what makes
+    the emitted functionals start with a -1 coefficient.
     """
-    nodes = [
+    leaves = [
         _SeqNode(wi, (i,), i, True) for i, wi in enumerate(entry_weights, start=1)
     ]
-    while len(nodes) > 1:
-        m = len(nodes)
-        # Combinable pairs in (left, right) lexicographic order: for each
-        # left end, the right end extends until it swallows the next leaf.
-        best_i = 0
-        best_j = 1
-        best_sum = weight_add(nodes[0].weight, nodes[1].weight)
-        for i in range(m - 1):
-            j = i + 1
-            while True:
-                if i or j != 1:
-                    cand_sum = weight_add(nodes[i].weight, nodes[j].weight)
-                    coeffs = _difference_coeffs(
-                        nodes[i], nodes[j], nodes[best_i], nodes[best_j]
-                    )
-                    outcome = judge(coeffs, weight_sub(cand_sum, best_sum))
-                    if outcome < 0:
-                        best_i, best_j, best_sum = i, j, cand_sum
-                if nodes[j].is_leaf or j + 1 >= m:
-                    break
-                j += 1
-        left, right = nodes[best_i], nodes[best_j]
+    if len(leaves) == 1:
+        return leaves[0].shape
+
+    def node_less(a: _SeqNode, b: _SeqNode) -> bool:
+        # The sequence stays ordered by each node's lowest leaf.
+        earlier, later = (a, b) if a.leaves[0] < b.leaves[0] else (b, a)
+        coeffs = dict.fromkeys(later.leaves, 1)
+        coeffs.update(dict.fromkeys(earlier.leaves, -1))
+        return (judge(coeffs, weight_sub(later.weight, earlier.weight)) < 0) == (a is later)
+
+    def block_less(p: _Block, q: _Block) -> bool:
+        earlier, later = (p, q) if p.rank < q.rank else (q, p)
+        # The pairs can share one node: the leaf between adjacent blocks,
+        # which is the earlier pair's right and the later pair's left member.
+        coeffs = dict.fromkeys(later.hi.leaves, 1)
+        if later.lo is not earlier.hi:
+            coeffs.update(dict.fromkeys(later.lo.leaves, 1))
+            coeffs.update(dict.fromkeys(earlier.hi.leaves, -1))
+        coeffs.update(dict.fromkeys(earlier.lo.leaves, -1))
+        return (judge(coeffs, weight_sub(later.total, earlier.total)) < 0) == (p is later)
+
+    blocks = [
+        _Block(k, a, b, weight_add(a.weight, b.weight))
+        for k, (a, b) in enumerate(zip(leaves, leaves[1:]))
+    ]
+    for left, right in zip(blocks, blocks[1:]):
+        left.next = right
+        right.prev = left
+    for k in reversed(range(len(blocks) // 2)):
+        _sift_down(blocks, k, block_less, True)
+
+    while True:
+        # The top block holds the minimum combinable pair: each block's best
+        # pair is its two smallest nodes, since (weight, shadow) order is
+        # compatible with addition.
+        b = blocks[0]
+        x, y = b.lo, b.hi
+        if not (
+            x.leaves[0] < y.leaves[0]
+            and (x is b.left or not x.is_leaf)
+            and (y is b.right or not y.is_leaf)
+        ):
+            raise StructureError(
+                f"phase 1 picked a pair that is not combinable: leaves {x.leaves} and {y.leaves}"
+            )
+        # A consumed leaf joins the blocks on either side of it. Drop the
+        # absorbed neighbours from the heap of blocks before any key changes,
+        # so that no comparison ever sees a node that is gone.
+        absorbed_left = b.prev if x.is_leaf else None
+        absorbed_right = b.next if y.is_leaf else None
+        for gone in (absorbed_left, absorbed_right):
+            if gone is not None:
+                _remove_at(blocks, gone.slot, block_less, True)
+
         merged = _SeqNode(
-            weight_add(left.weight, right.weight),
-            tuple(sorted(left.leaves + right.leaves)),
-            (left.shape, right.shape),
-            False,
+            b.total, tuple(sorted(x.leaves + y.leaves)), (x.shape, y.shape), False
         )
-        nodes[best_i] = merged
-        del nodes[best_j]
-        assert all(a.leaves[0] < b.leaves[0] for a, b in zip(nodes, nodes[1:])), (
-            "sequence must stay ordered by leftmost descendant leaf"
-        )
-    return nodes[0].shape
+        heap = b.heap
+        if len(heap) == 2:
+            heap = [merged]
+        else:
+            # The pair is the root and one of its children. The merged node
+            # replaces the root instead of a pop and a push.
+            _remove_at(heap, 1 if heap[1] is x or heap[1] is y else 2, node_less, False)
+            heap[0] = merged
+            if len(heap) > 2:
+                _sift_down(heap, 0, node_less, False)
+        if x.is_leaf:
+            b.left = None
+            if absorbed_left is not None:
+                heap = _absorb(heap, absorbed_left, x, node_less)
+                b.rank, b.left, b.prev = absorbed_left.rank, absorbed_left.left, absorbed_left.prev
+                if b.prev is not None:
+                    b.prev.next = b
+        if y.is_leaf:
+            b.right = None
+            if absorbed_right is not None:
+                heap = _absorb(heap, absorbed_right, y, node_less)
+                b.right, b.next = absorbed_right.right, absorbed_right.next
+                if b.next is not None:
+                    b.next.prev = b
+        b.heap = heap
+        if len(heap) == 1:
+            return merged.shape
+
+        lo = heap[0]
+        hi = heap[1] if len(heap) == 2 or node_less(heap[1], heap[2]) else heap[2]
+        if hi.leaves[0] < lo.leaves[0]:
+            lo, hi = hi, lo
+        b.lo, b.hi, b.total = lo, hi, weight_add(lo.weight, hi.weight)
+        _sift_down(blocks, 0, block_less, True)
 
 
 def _shape_to_depths(shape: Tree, n: int) -> tuple[int, ...]:
@@ -443,7 +598,8 @@ def hu_tucker(
     vec = require_nonnegative_weights(w)
     s = dyadic_shadow(len(vec), orientation or POLICY_ORIENTATION[policy])
     depths, trace = hu_tucker_phase1(vec, policy, s)
-    assert trace is not None
+    if trace is None:
+        raise StructureError("phase 1 returned no trace without a record sink")
     return reconstruct_from_depths(depths), trace
 
 

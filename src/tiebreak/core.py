@@ -66,7 +66,7 @@ def as_weights(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     Length must be at least 1. Entries are not sign-checked here; solvers
     impose nonnegativity at their own boundary.
     """
-    w = tuple(Fraction(v) for v in values)
+    w = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
     if not w:
         raise StructureError("weight vector must have at least one entry")
     return w
@@ -86,9 +86,9 @@ def clear_denominators(values: Sequence[RationalLike]) -> tuple[int, list[int]]:
 
     Lets hot loops run on plain ints; dividing by L recovers exact values.
     """
-    fractions = [Fraction(v) for v in values]
+    fractions = [v if type(v) is Fraction else Fraction(v) for v in values]
     scale = lcm(*(x.denominator for x in fractions)) if fractions else 1
-    return scale, [int(x * scale) for x in fractions]
+    return scale, [x.numerator * (scale // x.denominator) for x in fractions]
 
 
 class LinearFunctional:

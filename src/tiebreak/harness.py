@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -67,6 +68,10 @@ DEGENERATE_FAMILIES = frozenset(FAMILY_NAMES) - {UNIFORM_RANDOM}
 
 _MAX_BLOCKS = 64
 
+#: Decimal integers in config text. int() would also take "1_0", full-width
+#: digits and surrounding spaces.
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+
 
 @dataclass(frozen=True, slots=True)
 class Family:
@@ -103,11 +108,9 @@ class Family:
         if name == EQUAL_BLOCKS:
             if not has_param:
                 return cls(name)
-            try:
-                k = int(param)
-            except ValueError:
-                raise FormatError(f"block count must be an integer, got {param!r}") from None
-            return cls(name, block_count=k)
+            if not _INT_RE.match(param):
+                raise FormatError(f"block count must be an integer, got {param!r}")
+            return cls(name, block_count=int(param))
         if name == ZERO_SPRINKLED:
             if not has_param:
                 return cls(name)
@@ -350,7 +353,8 @@ def check_instance(
     shadow = dyadic_shadow(n, orient)
 
     depths, trace = hu_tucker_phase1(vec, policy, shadow)
-    assert trace is not None
+    if trace is None:
+        raise StructureError("phase 1 returned no trace without a record sink")
     tree = reconstruct_from_depths(depths)
     feasible = tree is not None
     if dp_cost is None:
@@ -672,10 +676,9 @@ def parse_config(text: str) -> CampaignConfig:
 
 
 def _parse_int(value: str) -> int:
-    try:
-        return int(value, base=10)
-    except ValueError:
-        raise FormatError(f"expected an integer, got {value!r}") from None
+    if not _INT_RE.match(value):
+        raise FormatError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 #: Sampling weight per size bit-length; heavier sizes get rarer so the

@@ -11,6 +11,7 @@ below which the whole decision path is insensitive to perturbation.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -241,9 +242,8 @@ def stability_witness(
         # p*ad + an*d over the positive denominator pd*ad.
         p = rec.primary_value
         shifted = p.numerator * ad + an * drift * p.denominator
-        assert sign(shifted) == rec.realized_sign, (
-            f"witness failed its own re-evaluation at step {rec.step}"
-        )
+        if sign(shifted) != rec.realized_sign:
+            raise StructureError(f"witness failed its own re-evaluation at step {rec.step}")
     return witness
 
 
@@ -278,6 +278,20 @@ def dump_trace(trace: DecisionTrace) -> str:
 
 _TRACE_KEYS = {"step", "coeffs", "value", "tie", "branch"}
 
+_INDEX_RE = re.compile(r"[0-9]+\Z")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads keeps the last of repeated keys; the trace format has none.
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
 
 def load_trace(text: str, n: int) -> DecisionTrace:
     """Parse the line-delimited trace format for an n-entry instance.
@@ -290,9 +304,11 @@ def load_trace(text: str, n: int) -> DecisionTrace:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise FormatError(f"not a valid record: {exc.msg}", line=lineno) from exc
+        except FormatError as exc:
+            raise FormatError(str(exc), line=lineno) from exc
         if not isinstance(obj, dict):
             raise FormatError("record must be a key-value object", line=lineno)
         if set(obj) != _TRACE_KEYS:
@@ -319,10 +335,9 @@ def _record_from_obj(obj: dict) -> ComparisonRecord:
         raise FormatError("coeffs must be a map from index to rational text")
     coeffs: dict[int, RationalLike] = {}
     for key, text in raw_coeffs.items():
-        try:
-            index = int(key)
-        except ValueError:
-            raise FormatError(f"coefficient index {key!r} is not an integer") from None
+        if not _INDEX_RE.match(key):
+            raise FormatError(f"coefficient index {key!r} is not an integer")
+        index = int(key)
         if not isinstance(text, str):
             raise FormatError(f"coefficient for index {key} must be rational text")
         value = parse_rational(text)

@@ -30,6 +30,7 @@ from tiebreak.alphabetic import (
     validate_tree,
 )
 from tiebreak.errors import CapacityError, DomainError, FormatError, StructureError
+from tiebreak.harness import FAMILY_NAMES, Family, _positional_phase1_depths, generate
 from tiebreak.perturb import dyadic_shadow
 
 CATALAN = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 42, 7: 132, 8: 429}
@@ -302,3 +303,24 @@ def test_phase1_depths_always_reconstruct() -> None:
         tree = reconstruct_from_depths(depths)
         assert tree is not None
         assert tree_depths(tree) == depths
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_phase1_depths_match_the_positional_oracle(family: str) -> None:
+    # The heap loop must find the same minimum pair, round after round, as
+    # an all-pairs scan with positional tie-breaking, up to the campaign's
+    # largest size.
+    for n in (1, 2, 3, 5, 8, 16, 24, 40, 80, 200):
+        w = generate(Family(family), n, "phase1-oracle")
+        for policy in (LEFTMOST, RIGHTMOST):
+            depths, _ = hu_tucker_phase1(w, policy, _shadow_for(policy, n))
+            assert depths == _positional_phase1_depths(w, policy), (family, n, policy)
+
+
+@pytest.mark.parametrize("policy", [LEFTMOST, RIGHTMOST])
+def test_phase1_comparisons_grow_as_n_log_n(policy: str) -> None:
+    # All-equal weights make every combinable pair a tie. Comparing every
+    # combinable pair in every round takes 343,101 comparisons at n = 200;
+    # the heaps need under 4,000.
+    _, trace = hu_tucker_phase1((1,) * 200, policy, _shadow_for(policy, 200))
+    assert len(trace.records) <= 8000

@@ -20,6 +20,7 @@ from tiebreak.harness import (
     ZERO_SPRINKLED,
     CampaignConfig,
     Family,
+    _parse_int,
     check_instance,
     check_lipschitz,
     generate,
@@ -52,6 +53,8 @@ def test_family_parse_defaults_and_errors() -> None:
         Family.parse("palindrome:2")
     with pytest.raises(FormatError, match="block count"):
         Family.parse("equal-blocks:x")
+    with pytest.raises(FormatError, match="block count"):
+        Family.parse("equal-blocks:1_0")
     with pytest.raises(StructureError, match="block count"):
         Family.parse("equal-blocks:1")
     with pytest.raises(StructureError, match="zero fraction"):
@@ -224,6 +227,12 @@ def test_parse_config_full_document() -> None:
     assert config.lipschitz_n_max == 12  # defaults to min(40, n_max)
 
 
+@pytest.mark.parametrize("text", ["1_0", "\uff15", " 7"])
+def test_parse_int_takes_only_ascii_decimal_digits(text: str) -> None:
+    with pytest.raises(FormatError, match="expected an integer"):
+        _parse_int(text)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -233,6 +242,8 @@ def test_parse_config_full_document() -> None:
         ("seed = 7\nseed = 8", "line 2.*duplicate"),
         ("seed = 7\ncount.sawtooth = 1", "line 2.*unknown instance family"),
         ("seed = 7\nn_min = x", "line 2.*expected an integer"),
+        ("seed = 1_0", "line 1.*expected an integer"),
+        ("seed = \uff15", "line 1.*expected an integer"),
         ("seed = 7\ncount.all-equal = 1\ncount.all-equal = 2", "line 3.*twice"),
         ("seed = 7\nn_min = 5\nn_max = 2", "n_min"),
     ],

@@ -140,6 +140,11 @@ def test_load_skips_blank_lines_and_reports_line_numbers() -> None:
         ('{"step": 1, "coeffs": {"1": "1"}, "value": "0", "tie": true, "branch": "up"}', "branch"),
         ('{"step": 1, "coeffs": {"1": "1"}, "value": "2", "tie": true, "branch": "R"}', "contradicts"),
         ('{"step": 1, "coeffs": {"0": "1"}, "value": "1", "tie": false, "branch": "R"}', "positive int"),
+        ('{"step": 1, "coeffs": {"1_0": "1"}, "value": "1", "tie": false, "branch": "R"}', "not an integer"),
+        ('{"step": 1, "coeffs": {" 1": "1"}, "value": "1", "tie": false, "branch": "R"}', "not an integer"),
+        ('{"step": 1, "coeffs": {"\u0662": "1"}, "value": "1", "tie": false, "branch": "R"}', "not an integer"),
+        ('{"step": 1, "coeffs": {"1": "1"}, "value": "1", "tie": false, "branch": "L", "branch": "R"}', "duplicate key 'branch'"),
+        ('{"step": 1, "coeffs": {"1": "-1", "1": "1"}, "value": "1", "tie": false, "branch": "R"}', "duplicate key '1'"),
     ],
 )
 def test_load_rejects_malformed_records(line: str, message: str) -> None:
@@ -209,7 +214,15 @@ def test_stability_witness_frozen_values() -> None:
     vec, s, _, trace = _solve((1, 2, 3), RIGHTMOST)
     assert stability_witness(trace, vec, s) == Fraction(2, 7)
     vec, s, _, trace = _solve((1, 1, 1, 1, 1), LEFTMOST)
-    assert stability_witness(trace, vec, s) == Fraction(1, 45)
+    # With s = (-32, -16, -8, -4, -2) only two records are not ties, both of
+    # value -1: -w1 - w2 + w4 with drift 32 + 16 - 4 = 44, and -w1 - w2 + w5
+    # with drift 32 + 16 - 2 = 46. The witness is min(1/45, 1/47).
+    assert [r.functional for r in trace.records if not r.tie] == [
+        LinearFunctional({1: -1, 2: -1, 4: 1}),
+        LinearFunctional({1: -1, 2: -1, 5: 1}),
+    ]
+    assert all(r.primary_value == -1 for r in trace.records if not r.tie)
+    assert stability_witness(trace, vec, s) == Fraction(1, 47)
 
 
 def test_stability_witness_is_one_for_all_tie_traces() -> None:
@@ -232,6 +245,15 @@ def test_stability_witness_preserves_every_recorded_sign() -> None:
         moved = [wi + a * si for wi, si in zip(vec, s.entries)]
         for rec in trace.records:
             assert sign(rec.functional.evaluate(moved)) == rec.realized_sign
+
+
+def test_stability_witness_rejects_a_record_its_value_contradicts() -> None:
+    # Value +1 but realized sign -1: no positive step can keep that sign, so
+    # the witness fails its own re-evaluation even when told to trust the trace.
+    forged = ComparisonRecord.make(1, F12, Fraction(1), -1)
+    trace = DecisionTrace(n=2, records=(forged,))
+    with pytest.raises(StructureError, match="re-evaluation at step 1"):
+        stability_witness(trace, (Fraction(2), Fraction(1)), dyadic_shadow(2), verified=True)
 
 
 def test_stability_witness_requires_a_verified_trace() -> None:
