@@ -22,14 +22,21 @@ makes the order on candidate pairs strict and total, so the minimum, and
 with it the tree, does not depend on the order in which the heaps meet the
 candidates.
 
-Two independent oracles ship alongside: an interval dynamic program for the
-optimal cost, and exhaustive enumeration of all ordered trees for small n.
+Two independent oracles ship alongside. The interval dynamic program finds
+the optimal cost in O(n^2): each interval searches only the splits between
+the best splits of its two one-shorter subintervals, the Knuth-Yao window
+(Knuth, Acta Informatica 1 (1971); Yao, STOC 1980). The exhaustive oracle,
+for n <= 12, lists the cost of every ordered tree over each interval and
+takes the minimum, with its count, over the full interval's list alone. It
+never minimizes over a sub-interval, so it relies on neither the optimal
+substructure nor the window that the dynamic program rests on.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 from operator import add
 from typing import Callable, Iterator, Sequence, Union
 
@@ -608,31 +615,51 @@ def hu_tucker(
 
 
 def dp_optimal_cost(w: Sequence[RationalLike]) -> Fraction:
-    """Optimal cost by interval dynamic programming, exact.
+    """Optimal cost by interval dynamic programming, exact, in O(n^2).
 
-    cost(i, j) = min over splits of cost(i, k) + cost(k+1, j) plus the total
-    weight of the interval; denominators are cleared once so the cubic loop
-    runs on machine-or-big ints only.
+    cost(i, j) = W(i, j) + min over splits i <= k < j of cost(i, k) +
+    cost(k+1, j), where W(i, j) is the interval's total weight. Interval
+    weights are sums of nonnegative weights, so W is monotone and satisfies
+    the quadrangle inequality with equality, zero weights included. Then the
+    last split attaining the minimum, K(i, j), obeys K(i, j-1) <= K(i, j) <=
+    K(i+1, j) (Knuth, Acta Informatica 1 (1971); Yao, STOC 1980), so each
+    interval searches only that window, and the windows along one span
+    telescope to O(n). Denominators are cleared once so the loop runs on
+    machine-or-big ints only.
     """
     vec = require_nonnegative_weights(w)
     n = len(vec)
     scale, scaled = clear_denominators(vec)
     if n == 1:
         return Fraction(0)
-    prefix = [0] * (n + 1)
-    for i, x in enumerate(scaled, start=1):
-        prefix[i] = prefix[i - 1] + x
+    prefix = [0, *accumulate(scaled)]
     # rows[i][j] and cols[j][i] both hold cost(i, j), 1-based.
     rows = [[0] * (n + 1) for _ in range(n + 2)]
     cols = [[0] * (n + 2) for _ in range(n + 1)]
-    for span in range(2, n + 1):
+    for i in range(1, n):
+        rows[i][i + 1] = cols[i + 1][i] = scaled[i - 1] + scaled[i]
+    # root[i] is K of the previous span's interval starting at i; each
+    # interval reads root[i] and root[i+1] before it overwrites root[i].
+    root = list(range(n + 1))
+    for span in range(3, n + 1):
         for i in range(1, n - span + 2):
             j = i + span - 1
             row_i = rows[i]
-            best = min(map(add, row_i[i : j], cols[j][i + 1 : j + 1]))
+            col_j = cols[j]
+            first = root[i]
+            split = k = root[i + 1]
+            best = row_i[k] + col_j[k + 1]
+            # Right to left with a strict test keeps the last minimizing split.
+            while k > first:
+                k -= 1
+                value = row_i[k] + col_j[k + 1]
+                if value < best:
+                    best = value
+                    split = k
+            root[i] = split
             value = best + prefix[j] - prefix[i - 1]
             row_i[j] = value
-            cols[j][i] = value
+            col_j[i] = value
     return Fraction(rows[1][n], scale)
 
 
@@ -655,31 +682,36 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     return gen(1, n)
 
 
-def _all_depth_vectors(n: int) -> list[tuple[int, ...]]:
-    # One vector per tree; ordered-leaf trees and their depth vectors biject.
-    return [tree_depths(t) for t in enumerate_trees(n)]
-
-
-_DEPTH_VECTORS: dict[int, list[tuple[int, ...]]] = {}
-
-
 def brute_force_optimal(w: Sequence[RationalLike]) -> tuple[Fraction, int]:
-    """Minimum cost over every ordered tree, and how many trees attain it."""
+    """Minimum cost over every ordered tree, and how many trees attain it.
+
+    For each interval, lists the cost of every ordered tree over it, one
+    entry per tree: each split's left and right lists combine pairwise as
+    cost(L) + cost(R) + W(interval). The minimum and its count are taken
+    over the full interval's list only, never over a sub-interval, so the
+    check rests on no optimal-substructure argument or split window and
+    stays independent of `dp_optimal_cost`. Capped at n = 12 (58,786 trees).
+    """
     vec = require_nonnegative_weights(w)
     n = len(vec)
     if n > ENUMERATION_CAP:
         raise CapacityError(f"brute force is capped at n = {ENUMERATION_CAP}, got {n}")
-    if n not in _DEPTH_VECTORS:
-        _DEPTH_VECTORS[n] = _all_depth_vectors(n)
     scale, scaled = clear_denominators(vec)
-    best: int | None = None
-    count = 0
-    for depths in _DEPTH_VECTORS[n]:
-        cost = sum(map(int.__mul__, scaled, depths))
-        if best is None or cost < best:
-            best = cost
-            count = 1
-        elif cost == best:
-            count += 1
-    assert best is not None
-    return Fraction(best, scale), count
+    prefix = [0, *accumulate(scaled)]
+    # costs[i][j]: the costs of all trees over leaves i..j, 0-based. Every
+    # entry starts as the single-leaf list [0]; spans longer than one are
+    # filled in order of length before any interval reads them.
+    costs: list[list[list[int]]] = [[[0]] * n for _ in range(n)]
+    for span in range(2, n + 1):
+        for i in range(n - span + 1):
+            j = i + span - 1
+            weight = prefix[j + 1] - prefix[i]
+            row_i = costs[i]
+            trees: list[int] = []
+            for k in range(i, j):
+                right = [c + weight for c in costs[k + 1][j]]
+                trees += [c + r for c in row_i[k] for r in right]
+            row_i[j] = trees
+    trees = costs[0][n - 1]
+    best = min(trees)
+    return Fraction(best, scale), trees.count(best)

@@ -17,7 +17,7 @@ from .alphabetic import format_tree, hu_tucker, reconstruct_from_depths, tree_co
 from .alphabetic import brute_force_optimal, dp_optimal_cost
 from .core import format_rational, parse_rational
 from .errors import CorruptTraceError, FormatError, TiebreakError
-from .harness import parse_config, run_campaign
+from .harness import _parse_int, parse_config, run_campaign
 from .partition import format_assignment, greedy_partition, partition_value
 from .perturb import NEGATIVE, POSITIVE, dyadic_shadow
 from .trace import dump_trace, load_trace, verify_policy
@@ -57,12 +57,7 @@ def _load_weights(path: str) -> tuple[Fraction, ...]:
 
 
 def _parse_depths(text: str) -> tuple[int, ...]:
-    depths = []
-    for token in text.replace(",", " ").split():
-        try:
-            depths.append(int(token, base=10))
-        except ValueError:
-            raise FormatError(f"depth must be an integer, got {token!r}") from None
+    depths = [_parse_int(token) for token in text.replace(",", " ").split()]
     if not depths:
         raise FormatError("empty depth sequence")
     return tuple(depths)

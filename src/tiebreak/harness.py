@@ -681,8 +681,9 @@ def _parse_int(value: str) -> int:
     return int(value)
 
 
-#: Sampling weight per size bit-length; heavier sizes get rarer so the
-#: cubic-cost tail does not dominate the campaign's runtime.
+#: Sampling weight per size bit-length; larger sizes get rarer because an
+#: instance's certification cost grows faster than its size, and the few
+#: largest instances would otherwise dominate the campaign's runtime.
 _SIZE_BIT_WEIGHTS = (8, 8, 7, 6, 5, 3, 1.5, 0.5)
 
 

@@ -177,7 +177,6 @@ def verify_policy(trace: DecisionTrace, w: Sequence[RationalLike], s: ShadowVect
         raise StructureError(f"trace is over {trace.n} weights but shadow has {len(s.entries)}")
     scale, scaled = clear_denominators(w)
     shadow_entries = s.entries
-    unit = scale == 1
     checks = []
     first_failure = None
     for rec in trace.records:
@@ -197,8 +196,8 @@ def verify_policy(trace: DecisionTrace, w: Sequence[RationalLike], s: ShadowVect
         ok = expected == rec.realized_sign
         if not ok and first_failure is None:
             first_failure = rec.step
-        recomputed = Fraction(raw) if unit else Fraction(raw, scale)
-        checks.append(RecordCheck(rec.step, recomputed, expected, ok))
+        # The identity above shows raw / scale equals the recorded value.
+        checks.append(RecordCheck(rec.step, recorded, expected, ok))
     return VerificationReport(first_failure is None, tuple(checks), first_failure)
 
 
@@ -225,17 +224,24 @@ def stability_witness(
                 f"no stability witness exists"
             )
     # A verified trace's recorded values equal f(w), so the per-record bound
-    # |f(w)| / (|f(s)| + 1) only needs the shadow drift f(s) recomputed.
+    # |f(w)| / (|f(s)| + 1) only needs the shadow drift f(s) recomputed. The
+    # running minimum is the integer pair wn / wd, compared by
+    # cross-multiplication; a drift is a Fraction when a loaded functional
+    # has fractional coefficients, and ints carry numerator and denominator.
     entries = s.entries
     drifts = []
-    witness = Fraction(1)
+    wn = wd = 1
     for rec in trace.records:
         drift = sum(c * entries[i - 1] for i, c in rec.functional.items())
         drifts.append(drift)
         if not rec.tie:
-            bound = abs(rec.primary_value) / (abs(drift) + 1)
-            if bound < witness:
-                witness = bound
+            p = rec.primary_value
+            slack = abs(drift) + 1
+            bn = abs(p.numerator) * slack.denominator
+            bd = p.denominator * slack.numerator
+            if bn * wd < wn * bd:
+                wn, wd = bn, bd
+    witness = Fraction(wn, wd)
     an, ad = witness.numerator, witness.denominator
     for rec, drift in zip(trace.records, drifts):
         # sign(p + a*d) via the integer (or at worst rational) numerator of

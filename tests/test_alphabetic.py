@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -181,6 +183,74 @@ def test_oracles_agree_on_random_instances() -> None:
         brute_cost, count = brute_force_optimal(w)
         assert dp_optimal_cost(w) == brute_cost
         assert count >= 1
+
+
+def _cubic_dp_cost(w: Sequence[Fraction]) -> Fraction:
+    """Reference: the plain interval DP, trying every split of every interval."""
+    n = len(w)
+    scale = math.lcm(*(x.denominator for x in w))
+    ints = [int(x * scale) for x in w]
+    cost = [[0] * n for _ in range(n)]
+    for span in range(2, n + 1):
+        for i in range(n - span + 1):
+            j = i + span - 1
+            cost[i][j] = sum(ints[i : j + 1]) + min(
+                cost[i][k] + cost[k + 1][j] for k in range(i, j)
+            )
+    return Fraction(cost[0][n - 1], scale)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_dp_matches_cubic_reference_per_family(family: str) -> None:
+    for n in range(1, 61):
+        w = generate(Family(family), n, "dp-reference")
+        assert dp_optimal_cost(w) == _cubic_dp_cost(w), (family, n)
+
+
+def test_dp_matches_cubic_reference_on_zero_heavy_vectors() -> None:
+    rng = random.Random("dp-zero-heavy")
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        w = tuple(
+            Fraction(rng.choice((0, 0, 0, 0, 1, 2, 5)), rng.choice((1, 3))) for _ in range(n)
+        )
+        assert dp_optimal_cost(w) == _cubic_dp_cost(w), w
+
+
+def _equal_weight_optimum(n: int) -> tuple[int, int]:
+    """Cost and number of optimal trees for n unit weights.
+
+    Optimal trees keep every leaf at depth k or k + 1, k = floor(log2 n):
+    n - 2^k of the 2^k depth-k positions split in two.
+    """
+    k = n.bit_length() - 1
+    return n * k + 2 * (n - (1 << k)), math.comb(1 << k, n - (1 << k))
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 255, 256, 257, 500, 1000])
+def test_dp_equal_weights_closed_form(n: int) -> None:
+    assert dp_optimal_cost([1] * n) == _equal_weight_optimum(n)[0]
+
+
+@pytest.mark.parametrize("n", range(1, ENUMERATION_CAP + 1))
+def test_brute_force_equal_weights_closed_form(n: int) -> None:
+    assert brute_force_optimal([1] * n) == _equal_weight_optimum(n)
+
+
+def _enumerated_optimum(w: Sequence[Fraction]) -> tuple[Fraction, int]:
+    """Reference: the cost of every enumerated tree from its leaf depths."""
+    costs = [tree_cost(tree, w) for tree in enumerate_trees(len(w))]
+    best = min(costs)
+    return best, costs.count(best)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_brute_force_matches_tree_enumeration(n: int) -> None:
+    rng = random.Random(f"brute-enumeration|{n}")
+    vectors = [generate(Family(family), n, "brute-reference") for family in FAMILY_NAMES]
+    vectors += [_random_vector(rng, n) for _ in range(4)]
+    for w in vectors:
+        assert brute_force_optimal(w) == _enumerated_optimum(w), w
 
 
 # -- solver -----------------------------------------------------------------

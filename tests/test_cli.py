@@ -101,6 +101,14 @@ def test_reconstruct_round_trip_and_infeasible(capsys) -> None:
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depths", ["\u0661,\u0661", "1_0,1", "\uff12,\uff12"])
+def test_reconstruct_takes_only_ascii_decimal_depths(depths, capsys) -> None:
+    assert main(["reconstruct", "--depths", depths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_partition_command(weights_file, capsys) -> None:
     code = main(["partition", "--weights", weights_file("3 1 1 2 2 1")])
     assert code == 0

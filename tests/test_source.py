@@ -1,0 +1,21 @@
+"""Properties of the package source itself."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import tiebreak
+
+
+def test_no_assert_statements_in_the_package() -> None:
+    # `python -O` strips assert statements, so no check may live in one.
+    modules = sorted(Path(tiebreak.__file__).parent.glob("*.py"))
+    assert "alphabetic.py" in {path.name for path in modules}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
