@@ -22,6 +22,14 @@ makes the order on candidate pairs strict and total, so the minimum, and
 with it the tree, does not depend on the order in which the heaps meet the
 candidates.
 
+A comparison's functional is the later operand's leaves with coefficient +1
+and the earlier operand's with -1. Each node carries its leaves as two
+signed-item tuples sorted by leaf, ((i, 1), ...) and ((i, -1), ...), built
+once per node, so a comparison's items are one concatenation and one sort
+of presorted runs. The same items give the shadow sum on a tie and become
+the record's functional unchanged. Each run builds one `Fraction` per
+distinct scaled value, not one per record.
+
 Two independent oracles ship alongside. The interval dynamic program finds
 the optimal cost in O(n^2): each interval searches only the splits between
 the best splits of its two one-shorter subintervals, the Knuth-Yao window
@@ -182,7 +190,10 @@ def parse_tree(text: str) -> Tree:
             return (left, right)
         if token == ")":
             raise FormatError("unexpected ')'", line=1, column=col)
-        leaf = int(token[1:])
+        try:
+            leaf = int(token[1:])
+        except ValueError:
+            raise FormatError("leaf index has too many digits", line=1, column=col) from None
         if leaf < 1:
             raise FormatError(f"leaf index must be >= 1, got {token}", line=1, column=col)
         return leaf
@@ -219,11 +230,15 @@ def tree_from_obj(obj: dict) -> Tree:
 
 
 class _SeqNode:
-    __slots__ = ("weight", "leaves", "shape", "is_leaf")
+    """A sequence node: its leaves as sorted signed items, and `first`, the lowest."""
 
-    def __init__(self, weight, leaves: tuple[int, ...], shape: Tree, is_leaf: bool):
+    __slots__ = ("weight", "first", "plus", "minus", "shape", "is_leaf")
+
+    def __init__(self, weight, plus: tuple, minus: tuple, shape: Tree, is_leaf: bool):
         self.weight = weight
-        self.leaves = leaves
+        self.first = plus[0][0]
+        self.plus = plus
+        self.minus = minus
         self.shape = shape
         self.is_leaf = is_leaf
 
@@ -337,39 +352,40 @@ def _phase1(
     entry_weights: Sequence,
     weight_add: Callable,
     weight_sub: Callable,
-    judge: Callable[[dict[int, int], object], int],
+    judge: Callable[[list[tuple[int, int]], object], int],
 ) -> Tree:
     """Run the combine loop; returns the phase-1 combine shape.
 
-    `judge(coeffs, diff)` must return -1 when the later (minuend) operand is
+    `judge(items, diff)` must return -1 when the later (minuend) operand is
     the smaller and +1 when the earlier (subtrahend) one is; 0 is not an
-    answer. Operands are two nodes or two blocks' best pairs, and the earlier
-    one in left-to-right order is always the subtrahend, which is what makes
-    the emitted functionals start with a -1 coefficient.
+    answer. `items` are the functional's signed items, sorted by index.
+    Operands are two nodes or two blocks' best pairs, and the earlier one in
+    left-to-right order is always the subtrahend, which is what makes the
+    emitted functionals start with a -1 coefficient.
     """
     leaves = [
-        _SeqNode(wi, (i,), i, True) for i, wi in enumerate(entry_weights, start=1)
+        _SeqNode(wi, ((i, 1),), ((i, -1),), i, True)
+        for i, wi in enumerate(entry_weights, start=1)
     ]
     if len(leaves) == 1:
         return leaves[0].shape
 
     def node_less(a: _SeqNode, b: _SeqNode) -> bool:
         # The sequence stays ordered by each node's lowest leaf.
-        earlier, later = (a, b) if a.leaves[0] < b.leaves[0] else (b, a)
-        coeffs = dict.fromkeys(later.leaves, 1)
-        coeffs.update(dict.fromkeys(earlier.leaves, -1))
-        return (judge(coeffs, weight_sub(later.weight, earlier.weight)) < 0) == (a is later)
+        earlier, later = (a, b) if a.first < b.first else (b, a)
+        items = sorted(later.plus + earlier.minus)
+        return (judge(items, weight_sub(later.weight, earlier.weight)) < 0) == (a is later)
 
     def block_less(p: _Block, q: _Block) -> bool:
         earlier, later = (p, q) if p.rank < q.rank else (q, p)
         # The pairs can share one node: the leaf between adjacent blocks,
         # which is the earlier pair's right and the later pair's left member.
-        coeffs = dict.fromkeys(later.hi.leaves, 1)
-        if later.lo is not earlier.hi:
-            coeffs.update(dict.fromkeys(later.lo.leaves, 1))
-            coeffs.update(dict.fromkeys(earlier.hi.leaves, -1))
-        coeffs.update(dict.fromkeys(earlier.lo.leaves, -1))
-        return (judge(coeffs, weight_sub(later.total, earlier.total)) < 0) == (p is later)
+        # Its +1 and -1 cancel, so it drops out.
+        if later.lo is earlier.hi:
+            items = sorted(later.hi.plus + earlier.lo.minus)
+        else:
+            items = sorted(later.lo.plus + later.hi.plus + earlier.lo.minus + earlier.hi.minus)
+        return (judge(items, weight_sub(later.total, earlier.total)) < 0) == (p is later)
 
     blocks = [
         _Block(k, a, b, weight_add(a.weight, b.weight))
@@ -388,12 +404,12 @@ def _phase1(
         b = blocks[0]
         x, y = b.lo, b.hi
         if not (
-            x.leaves[0] < y.leaves[0]
+            x.first < y.first
             and (x is b.left or not x.is_leaf)
             and (y is b.right or not y.is_leaf)
         ):
             raise StructureError(
-                f"phase 1 picked a pair that is not combinable: leaves {x.leaves} and {y.leaves}"
+                f"phase 1 picked a pair that is not combinable: leaves {x.first} and {y.first}"
             )
         # A consumed leaf joins the blocks on either side of it. Drop the
         # absorbed neighbours from the heap of blocks before any key changes,
@@ -404,9 +420,8 @@ def _phase1(
             if gone is not None:
                 _remove_at(blocks, gone.slot, block_less, True)
 
-        merged = _SeqNode(
-            b.total, tuple(sorted(x.leaves + y.leaves)), (x.shape, y.shape), False
-        )
+        plus, minus = tuple(sorted(x.plus + y.plus)), tuple(sorted(x.minus + y.minus))
+        merged = _SeqNode(b.total, plus, minus, (x.shape, y.shape), False)
         heap = b.heap
         if len(heap) == 2:
             heap = [merged]
@@ -437,7 +452,7 @@ def _phase1(
 
         lo = heap[0]
         hi = heap[1] if len(heap) == 2 or node_less(heap[1], heap[2]) else heap[2]
-        if hi.leaves[0] < lo.leaves[0]:
+        if hi.first < lo.first:
             lo, hi = hi, lo
         b.lo, b.hi, b.total = lo, hi, weight_add(lo.weight, hi.weight)
         _sift_down(blocks, 0, block_less, True)
@@ -476,18 +491,20 @@ def hu_tucker_phase1(
     _check_shadow(n, s)
     scale, scaled = clear_denominators(vec)
     shadow_entries = s.entries
-    unit = scale == 1
     collector = TraceCollector(n) if on_record is None else None
     sink = on_record if on_record is not None else collector
+    functional = LinearFunctional._trusted
+    make = ComparisonRecord.make
+    values: dict[int, Fraction] = {}  # one Fraction per distinct scaled value
     step = 0
 
-    def judge(coeffs: dict[int, int], diff: int) -> int:
+    def judge(items: list[tuple[int, int]], diff: int) -> int:
         nonlocal step
         step += 1
         if diff:
             realized = 1 if diff > 0 else -1
         else:
-            drift = sum(c * shadow_entries[i - 1] for i, c in coeffs.items())
+            drift = sum(c * shadow_entries[i - 1] for i, c in items)
             if drift > 0:
                 realized = 1
             elif drift < 0:
@@ -496,10 +513,11 @@ def hu_tucker_phase1(
                 raise DomainError(
                     f"shadow direction fails to resolve the tie at step {step}"
                 )
-        # Difference coefficients are already unique, 1-based, and nonzero.
-        f = LinearFunctional._trusted(tuple(sorted(coeffs.items())))
-        primary = Fraction(diff) if unit else Fraction(diff, scale)
-        sink(ComparisonRecord.make(step, f, primary, realized))
+        primary = values.get(diff)
+        if primary is None:
+            primary = values[diff] = Fraction(diff, scale)
+        # The signed items are already sorted, unique, 1-based, and nonzero.
+        sink(make(step, functional(items), primary, realized))
         return realized
 
     shape = _phase1(scaled, add, lambda a, b: a - b, judge)
@@ -524,12 +542,14 @@ def phase1_explicit_shadow(
     _check_shadow(n, s)
     scale, scaled = clear_denominators(vec)
     paired = list(zip(scaled, s.entries))
-    unit = scale == 1
     collector = TraceCollector(n) if on_record is None else None
     sink = on_record if on_record is not None else collector
+    functional = LinearFunctional._trusted
+    make = ComparisonRecord.make
+    values: dict[int, Fraction] = {}  # one Fraction per distinct scaled value
     step = 0
 
-    def judge(coeffs: dict[int, int], diff) -> int:
+    def judge(items: list[tuple[int, int]], diff) -> int:
         nonlocal step
         step += 1
         primary, drift = diff
@@ -539,9 +559,10 @@ def phase1_explicit_shadow(
             realized = 1 if drift > 0 else -1
         else:
             raise DomainError(f"two-component comparison is exactly zero at step {step}")
-        f = LinearFunctional._trusted(tuple(sorted(coeffs.items())))
-        value = Fraction(primary) if unit else Fraction(primary, scale)
-        sink(ComparisonRecord.make(step, f, value, realized))
+        value = values.get(primary)
+        if value is None:
+            value = values[primary] = Fraction(primary, scale)
+        sink(make(step, functional(items), value, realized))
         return realized
 
     shape = _phase1(

@@ -20,12 +20,7 @@ Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 
-#: Signs are plain ints in {-1, 0, +1}; they order naturally.
-NEGATIVE_SIGN = -1
-ZERO_SIGN = 0
-POSITIVE_SIGN = 1
-
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/(?P<den>[0-9]+))?\Z")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 
 
 def sign(x: RationalLike) -> int:
@@ -43,13 +38,15 @@ def parse_rational(token: str) -> Fraction:
     Grammar: optional sign, integer, optionally `/` and a positive integer
     denominator. No whitespace anywhere inside the token.
     """
-    m = _RATIONAL_RE.match(token)
-    if m is None:
+    if _RATIONAL_RE.match(token) is None:
         raise FormatError(f"malformed rational {token!r}")
-    den = m.group("den")
-    if den is not None and int(den) == 0:
-        raise FormatError(f"zero denominator in rational {token!r}")
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise FormatError(f"zero denominator in rational {token!r}") from None
+    except ValueError:
+        # int() refuses strings past sys.get_int_max_str_digits() digits.
+        raise FormatError(f"rational has too many digits ({len(token)} characters)") from None
 
 
 def format_rational(q: RationalLike) -> str:
@@ -91,17 +88,20 @@ def clear_denominators(values: Sequence[RationalLike]) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in fractions]
 
 
-class LinearFunctional:
+class LinearFunctional(tuple):
     """Sparse linear map from weight vectors to rationals.
 
-    Coefficients are keyed by 1-based weight index; zero coefficients are
-    dropped at construction so equality and hashing are structural on the
-    support. Instances are immutable.
+    The instance is the tuple of its signed items: the nonzero (index,
+    coefficient) pairs in increasing 1-based index order, zero coefficients
+    dropped at construction. Equality and hashing are the tuple's, so they
+    are structural on the support and run in C; solvers mint one functional
+    per comparison, and the replay audits compare them record by record.
+    Instances are immutable and carry no `__dict__`.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]]):
+    def __new__(cls, coeffs: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]]):
         if isinstance(coeffs, Mapping):
             pairs = coeffs.items()
         else:
@@ -116,41 +116,34 @@ class LinearFunctional:
         for (a, _), (b, _) in zip(items, items[1:]):
             if a == b:
                 raise StructureError(f"duplicate functional index {a}")
-        object.__setattr__(self, "_items", tuple(items))
+        return tuple.__new__(cls, items)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearFunctional is immutable")
-
-    @classmethod
-    def _trusted(cls, items: tuple[tuple[int, RationalLike], ...]) -> "LinearFunctional":
-        # Solver-internal fast path: `items` must already be sorted, duplicate
-        # free, zero free, and 1-based. The validating constructor costs more
-        # than the comparison loops it sits in can afford.
-        f = object.__new__(cls)
-        object.__setattr__(f, "_items", items)
-        return f
+    # Solver-internal fast path, `_trusted(items)`: the items must already be
+    # sorted, duplicate free, zero free, and 1-based. The validating
+    # constructor costs more than the comparison loops it sits in can afford.
+    _trusted = classmethod(tuple.__new__)
 
     @property
     def coeffs(self) -> dict[int, RationalLike]:
-        return dict(self._items)
+        return dict(self)
 
     def items(self) -> tuple[tuple[int, RationalLike], ...]:
         """Nonzero (index, coefficient) pairs in increasing index order."""
-        return self._items
+        return tuple(self)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self._items)
+        return tuple(i for i, _ in self)
 
     def max_index(self) -> int:
         """Largest referenced index; 0 for the zero functional."""
-        return self._items[-1][0] if self._items else 0
+        return self[-1][0] if self else 0
 
     def leading(self) -> tuple[int, RationalLike] | None:
         """Lowest-index nonzero term, or None for the zero functional."""
-        return self._items[0] if self._items else None
+        return self[0] if self else None
 
     def is_zero(self) -> bool:
-        return not self._items
+        return not self
 
     def is_unit_form(self) -> bool:
         """True when every coefficient is -1 or +1 and the support is nonempty.
@@ -158,30 +151,22 @@ class LinearFunctional:
         This is the shape every solver in this package emits: a difference of
         two disjoint index sets.
         """
-        return bool(self._items) and all(c == 1 or c == -1 for _, c in self._items)
+        return bool(self) and all(c == 1 or c == -1 for _, c in self)
 
     def evaluate(self, values: Sequence[RationalLike]) -> RationalLike:
         """Exact dot product against `values` (values[0] is index 1)."""
         n = len(values)
-        if self._items and self._items[-1][0] > n:
+        if self and self[-1][0] > n:
             raise StructureError(
-                f"functional references index {self._items[-1][0]} but vector has length {n}"
+                f"functional references index {self[-1][0]} but vector has length {n}"
             )
         total = 0
-        for index, coeff in self._items:
+        for index, coeff in self:
             total += coeff * values[index - 1]
         return total
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearFunctional):
-            return NotImplemented
-        return self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
     def __repr__(self) -> str:
-        body = ", ".join(f"{i}: {format_rational(c)}" for i, c in self._items)
+        body = ", ".join(f"{i}: {format_rational(c)}" for i, c in self)
         return f"LinearFunctional({{{body}}})"
 
 

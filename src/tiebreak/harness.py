@@ -110,7 +110,7 @@ class Family:
                 return cls(name)
             if not _INT_RE.match(param):
                 raise FormatError(f"block count must be an integer, got {param!r}")
-            return cls(name, block_count=int(param))
+            return cls(name, block_count=_parse_int(param))
         if name == ZERO_SPRINKLED:
             if not has_param:
                 return cls(name)
@@ -308,12 +308,10 @@ def _perturbed_run_matches(
 
     def sink(rec) -> None:
         want = next(expected, None)
-        if (
-            want is None
-            or rec.tie
-            or rec.functional != want.functional
-            or rec.branch != want.branch
-        ):
+        if want is None:
+            raise _PathMismatch
+        _, functional, _, _, tie, branch = rec
+        if tie or functional != want.functional or branch != want.branch:
             raise _PathMismatch
 
     try:
@@ -678,7 +676,11 @@ def parse_config(text: str) -> CampaignConfig:
 def _parse_int(value: str) -> int:
     if not _INT_RE.match(value):
         raise FormatError(f"expected an integer, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        # int() refuses strings past sys.get_int_max_str_digits() digits.
+        raise FormatError(f"integer has too many digits ({len(value)} characters)") from None
 
 
 #: Sampling weight per size bit-length; larger sizes get rarer because an

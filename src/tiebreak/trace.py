@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .core import (
@@ -31,21 +32,27 @@ LEFT = "L"
 RIGHT = "R"
 
 
-class ComparisonRecord:
+class ComparisonRecord(tuple):
     """One branching comparison.
 
     `realized_sign` is the sign the solver acted on after tie-breaking, so it
     is never 0; `tie` is true exactly when the primary value was 0 and the
     shadow had to decide. The branch letter is redundant with the sign and is
-    kept because the wire format stores it. Immutable; a slotted class rather
-    than a dataclass because solvers mint one per comparison and the frozen
-    dataclass protocol is measurably too slow for that.
+    kept because the wire format stores it.
+
+    A record is the tuple (step, functional, primary_value, realized_sign,
+    tie, branch) with read-only field properties. Solvers mint one per
+    comparison and the replay audits compare them one by one, so building a
+    record is a single `tuple.__new__` and equality and hashing are the
+    tuple's, which run in C. Audit loops unpack records as tuples. There is
+    no `_replace`: every record comes from `make` or the validating keyword
+    constructor.
     """
 
-    __slots__ = ("step", "functional", "primary_value", "realized_sign", "tie", "branch")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         *,
         step: int,
         functional: LinearFunctional,
@@ -64,16 +71,14 @@ class ComparisonRecord:
             raise StructureError(f"step {step}: sign contradicts the recorded value")
         if branch != (LEFT if realized_sign < 0 else RIGHT):
             raise StructureError(f"step {step}: branch {branch!r} contradicts the sign")
-        bind = object.__setattr__
-        bind(self, "step", step)
-        bind(self, "functional", functional)
-        bind(self, "primary_value", primary_value)
-        bind(self, "realized_sign", realized_sign)
-        bind(self, "tie", tie)
-        bind(self, "branch", branch)
+        return tuple.__new__(cls, (step, functional, primary_value, realized_sign, tie, branch))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ComparisonRecord is immutable")
+    step = property(itemgetter(0))
+    functional = property(itemgetter(1))
+    primary_value = property(itemgetter(2))
+    realized_sign = property(itemgetter(3))
+    tie = property(itemgetter(4))
+    branch = property(itemgetter(5))
 
     @classmethod
     def make(
@@ -86,36 +91,16 @@ class ComparisonRecord:
         """
         if type(primary) is not Fraction:
             primary = Fraction(primary)
-        rec = object.__new__(cls)
-        bind = object.__setattr__
-        bind(rec, "step", step)
-        bind(rec, "functional", functional)
-        bind(rec, "primary_value", primary)
-        bind(rec, "realized_sign", realized)
-        bind(rec, "tie", not primary)
-        bind(rec, "branch", LEFT if realized < 0 else RIGHT)
-        return rec
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComparisonRecord):
-            return NotImplemented
-        return (
-            self.primary_value == other.primary_value
-            and self.realized_sign == other.realized_sign
-            and self.step == other.step
-            and self.tie == other.tie
-            and self.branch == other.branch
-            and self.functional == other.functional
+        return tuple.__new__(
+            cls, (step, functional, primary, realized, not primary, LEFT if realized < 0 else RIGHT)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.step, self.functional, self.primary_value, self.realized_sign))
-
     def __repr__(self) -> str:
+        step, functional, primary_value, realized_sign, tie, branch = self
         return (
-            f"ComparisonRecord(step={self.step}, functional={self.functional!r}, "
-            f"primary_value={self.primary_value!r}, realized_sign={self.realized_sign}, "
-            f"tie={self.tie}, branch={self.branch!r})"
+            f"ComparisonRecord(step={step}, functional={functional!r}, "
+            f"primary_value={primary_value!r}, realized_sign={realized_sign}, "
+            f"tie={tie}, branch={branch!r})"
         )
 
 
@@ -130,15 +115,15 @@ class DecisionTrace:
         if self.n < 1:
             raise StructureError(f"trace instance size must be >= 1, got {self.n}")
         expected = 1
-        for rec in self.records:
-            if rec.step != expected:
+        for step, functional, _, _, _, _ in self.records:
+            if step != expected:
                 raise StructureError(
                     f"trace steps must increase from 1 without gaps; "
-                    f"expected {expected}, got {rec.step}"
+                    f"expected {expected}, got {step}"
                 )
-            if rec.functional.max_index() > self.n:
+            if functional.max_index() > self.n:
                 raise StructureError(
-                    f"step {rec.step} references index {rec.functional.max_index()} "
+                    f"step {step} references index {functional.max_index()} "
                     f"outside 1..{self.n}"
                 )
             expected += 1
@@ -179,25 +164,23 @@ def verify_policy(trace: DecisionTrace, w: Sequence[RationalLike], s: ShadowVect
     shadow_entries = s.entries
     checks = []
     first_failure = None
-    for rec in trace.records:
-        f = rec.functional
+    for step, f, recorded, realized, _, _ in trace.records:
         # Evaluate over denominator-cleared weights; agreement with the
         # record is the cross-multiplied identity raw * qd == qn * scale.
-        raw = sum(c * scaled[i - 1] for i, c in f.items())
-        recorded = rec.primary_value
+        raw = sum(c * scaled[i - 1] for i, c in f)
         if raw * recorded.denominator != recorded.numerator * scale:
             recomputed = Fraction(raw, scale)
             raise CorruptTraceError(
-                f"step {rec.step}: recorded value {format_rational(recorded)} "
+                f"step {step}: recorded value {format_rational(recorded)} "
                 f"but re-evaluation gives {format_rational(recomputed)}"
             )
         # Same contract as perturbed_sign: primary sign, shadow on a tie.
         expected = sign(raw) or sign(f.evaluate(shadow_entries))
-        ok = expected == rec.realized_sign
+        ok = expected == realized
         if not ok and first_failure is None:
-            first_failure = rec.step
+            first_failure = step
         # The identity above shows raw / scale equals the recorded value.
-        checks.append(RecordCheck(rec.step, recorded, expected, ok))
+        checks.append(RecordCheck(step, recorded, expected, ok))
     return VerificationReport(first_failure is None, tuple(checks), first_failure)
 
 
@@ -231,11 +214,10 @@ def stability_witness(
     entries = s.entries
     drifts = []
     wn = wd = 1
-    for rec in trace.records:
-        drift = sum(c * entries[i - 1] for i, c in rec.functional.items())
+    for _, f, p, _, tie, _ in trace.records:
+        drift = sum(c * entries[i - 1] for i, c in f)
         drifts.append(drift)
-        if not rec.tie:
-            p = rec.primary_value
+        if not tie:
             slack = abs(drift) + 1
             bn = abs(p.numerator) * slack.denominator
             bd = p.denominator * slack.numerator
@@ -243,13 +225,12 @@ def stability_witness(
                 wn, wd = bn, bd
     witness = Fraction(wn, wd)
     an, ad = witness.numerator, witness.denominator
-    for rec, drift in zip(trace.records, drifts):
+    for (step, _, p, realized, _, _), drift in zip(trace.records, drifts):
         # sign(p + a*d) via the integer (or at worst rational) numerator of
         # p*ad + an*d over the positive denominator pd*ad.
-        p = rec.primary_value
         shifted = p.numerator * ad + an * drift * p.denominator
-        if sign(shifted) != rec.realized_sign:
-            raise StructureError(f"witness failed its own re-evaluation at step {rec.step}")
+        if sign(shifted) != realized:
+            raise StructureError(f"witness failed its own re-evaluation at step {step}")
     return witness
 
 
@@ -270,13 +251,13 @@ def same_decision_path(a: DecisionTrace, b: DecisionTrace) -> bool:
 def dump_trace(trace: DecisionTrace) -> str:
     """Serialize to line-delimited records, one JSON object per comparison."""
     lines = []
-    for rec in trace.records:
+    for step, functional, value, _, tie, branch in trace.records:
         obj = {
-            "step": rec.step,
-            "coeffs": {str(i): format_rational(c) for i, c in rec.functional.items()},
-            "value": format_rational(rec.primary_value),
-            "tie": rec.tie,
-            "branch": rec.branch,
+            "step": step,
+            "coeffs": {str(i): format_rational(c) for i, c in functional},
+            "value": format_rational(value),
+            "tie": tie,
+            "branch": branch,
         }
         lines.append(json.dumps(obj))
     return "\n".join(lines) + ("\n" if lines else "")
@@ -315,6 +296,9 @@ def load_trace(text: str, n: int) -> DecisionTrace:
             raise FormatError(f"not a valid record: {exc.msg}", line=lineno) from exc
         except FormatError as exc:
             raise FormatError(str(exc), line=lineno) from exc
+        except ValueError as exc:
+            # int() refuses number literals past sys.get_int_max_str_digits().
+            raise FormatError("not a valid record: too many digits", line=lineno) from exc
         if not isinstance(obj, dict):
             raise FormatError("record must be a key-value object", line=lineno)
         if set(obj) != _TRACE_KEYS:
@@ -343,7 +327,10 @@ def _record_from_obj(obj: dict) -> ComparisonRecord:
     for key, text in raw_coeffs.items():
         if not _INDEX_RE.match(key):
             raise FormatError(f"coefficient index {key!r} is not an integer")
-        index = int(key)
+        try:
+            index = int(key)
+        except ValueError:
+            raise FormatError(f"coefficient index has too many digits ({len(key)})") from None
         if not isinstance(text, str):
             raise FormatError(f"coefficient for index {key} must be rational text")
         value = parse_rational(text)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -34,6 +35,7 @@ from tiebreak.alphabetic import (
 from tiebreak.errors import CapacityError, DomainError, FormatError, StructureError
 from tiebreak.harness import FAMILY_NAMES, Family, _positional_phase1_depths, generate
 from tiebreak.perturb import dyadic_shadow
+from tiebreak.trace import ComparisonRecord, dump_trace, load_trace
 
 CATALAN = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 42, 7: 132, 8: 429}
 
@@ -93,6 +95,12 @@ def test_format_and_parse_roundtrip() -> None:
 def test_parse_tree_errors_carry_columns(text: str, column: int) -> None:
     with pytest.raises(FormatError, match=f"column {column}"):
         parse_tree(text)
+
+
+def test_parse_tree_rejects_leaf_indices_past_the_digit_limit() -> None:
+    # int() raises a bare ValueError past sys.get_int_max_str_digits() digits.
+    with pytest.raises(FormatError, match="column 5"):
+        parse_tree("(b1 b" + "1" * 5000 + ")")
 
 
 def test_parse_tree_rejects_empty_text() -> None:
@@ -271,6 +279,43 @@ def test_solver_frozen_instances() -> None:
     assert tree_depths(right) == (2, 2, 2, 3, 3)
     assert tree_cost(left, [1] * 5) == 12
     assert tree_cost(right, [1] * 5) == 12
+
+
+#: sha256 of `dump_trace` for one solve per (family, n, policy), seed
+#: "record-stream": the record stream is part of the solver's contract, so
+#: any change to a functional, value, sign or step order shows here.
+FROZEN_TRACE_DIGESTS = {
+    ("all-equal", 40, LEFTMOST): "6232fbb76172798cdc913d3db87349ac31f47f9f989afe0e6fc4d67e829d1ad4",
+    ("all-equal", 40, RIGHTMOST): "8c23559201413d42526616b908a3af7fe7e2e343b47a57110e805e85e6e37ed2",
+    ("pair-sum-ties", 33, LEFTMOST): "9b70429660456db79afdf76569c47f3bc25bae3c3790426516b5e5869e2431ce",
+    ("pair-sum-ties", 33, RIGHTMOST): "22ae4ebac8318949a85e5c44d0927fcf702a57cfa9310f55fc0f0cd500a41cdc",
+    ("equal-blocks:3", 40, LEFTMOST): "f937202c56cd154bb6e4da0ee3a50a8872a689bbf7fd25576dd6560ca542e247",
+    ("equal-blocks:3", 40, RIGHTMOST): "847b4c0e56f7e9ac962675898b719d575621d5e7166fa5674cf815f0cf0a7c7b",
+    ("uniform-random", 64, LEFTMOST): "84e7a489414afa8bc8f8f61e6c18d110b1c43627a247b2a16d9b22336e2a7d1a",
+    ("uniform-random", 64, RIGHTMOST): "e3f07b0f586b87c533882eaeec248a6f3b0ab44cb4ee1d0b5bcdf0e5cd69b8e2",
+}
+
+
+@pytest.mark.parametrize("token,n,policy", sorted(FROZEN_TRACE_DIGESTS))
+def test_solver_record_stream_is_frozen(token: str, n: int, policy: str) -> None:
+    w = generate(Family.parse(token), n, "record-stream")
+    _, trace = hu_tucker(w, policy)
+    text = dump_trace(trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_TRACE_DIGESTS[token, n, policy]
+    assert load_trace(text, n).records == trace.records
+    for rec in trace.records:
+        validated = ComparisonRecord(
+            step=rec.step,
+            functional=rec.functional,
+            primary_value=rec.primary_value,
+            realized_sign=rec.realized_sign,
+            tie=rec.tie,
+            branch=rec.branch,
+        )
+        assert validated == rec
+        assert ComparisonRecord.make(rec.step, rec.functional, rec.primary_value, rec.realized_sign) == rec
+        assert not hasattr(rec, "__dict__")
+        assert not hasattr(rec.functional, "__dict__")
 
 
 def test_solver_single_leaf() -> None:

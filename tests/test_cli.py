@@ -109,6 +109,25 @@ def test_reconstruct_takes_only_ascii_decimal_depths(depths, capsys) -> None:
     assert "error:" in captured.err
 
 
+def test_tokens_past_the_digit_limit_exit_two(weights_file, tmp_path, capsys) -> None:
+    # int() raises a bare ValueError past sys.get_int_max_str_digits() digits.
+    huge = "1" * 5000
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(
+        '{"step": ' + huge + ', "coeffs": {"1": "1"}, "value": "1", "tie": false, "branch": "R"}\n',
+        encoding="utf-8",
+    )
+    for argv in (
+        ["solve", "--weights", weights_file(f"1 {huge}"), "--policy", "leftmost"],
+        ["reconstruct", "--depths", f"1,{huge}"],
+        ["verify-trace", "--trace", str(trace), "--weights", weights_file("1 2 3", "w3.txt"), "--orientation", "neg"],
+    ):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too many digits" in captured.err
+
+
 def test_partition_command(weights_file, capsys) -> None:
     code = main(["partition", "--weights", weights_file("3 1 1 2 2 1")])
     assert code == 0

@@ -19,6 +19,9 @@ from tiebreak.core import (
 )
 from tiebreak.errors import DomainError, FormatError, StructureError
 
+#: More digits than int() converts from text by default (4,300).
+HUGE = "1" * 5000
+
 
 def test_sign_covers_all_three_outcomes() -> None:
     assert sign(Fraction(3, 7)) == 1
@@ -54,6 +57,13 @@ def test_parse_rational_rejects(token: str) -> None:
 def test_parse_rational_rejects_zero_denominator() -> None:
     with pytest.raises(FormatError, match="zero denominator"):
         parse_rational("3/0")
+
+
+@pytest.mark.parametrize("token", [HUGE, f"1/{HUGE}", f"-{HUGE}/7"], ids=["num", "den", "signed"])
+def test_parse_rational_rejects_tokens_past_the_digit_limit(token: str) -> None:
+    # int() raises a bare ValueError past sys.get_int_max_str_digits() digits.
+    with pytest.raises(FormatError, match="too many digits"):
+        parse_rational(token)
 
 
 def test_format_rational_canonical() -> None:

@@ -233,6 +233,17 @@ def test_parse_int_takes_only_ascii_decimal_digits(text: str) -> None:
         _parse_int(text)
 
 
+def test_parse_int_rejects_integers_past_the_digit_limit() -> None:
+    # int() raises a bare ValueError past sys.get_int_max_str_digits() digits.
+    huge = "1" * 5000
+    with pytest.raises(FormatError, match="too many digits"):
+        _parse_int(huge)
+    with pytest.raises(FormatError, match="line 1.*too many digits"):
+        parse_config(f"seed = {huge}")
+    with pytest.raises(FormatError, match="line 2.*too many digits"):
+        parse_config(f"seed = 7\ncount.equal-blocks:{huge} = 1")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

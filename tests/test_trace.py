@@ -153,6 +153,30 @@ def test_load_rejects_malformed_records(line: str, message: str) -> None:
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (
+            '{"step": ' + "1" * 5000 + ', "coeffs": {"1": "1"}, "value": "1", "tie": false, "branch": "R"}',
+            "not a valid record: too many digits",
+        ),
+        (
+            '{"step": 1, "coeffs": {"' + "1" * 5000 + '": "1"}, "value": "1", "tie": false, "branch": "R"}',
+            "coefficient index has too many digits (5000)",
+        ),
+        (
+            '{"step": 1, "coeffs": {"1": "1"}, "value": "' + "1" * 5000 + '", "tie": false, "branch": "R"}',
+            "too many digits",
+        ),
+    ],
+    ids=["step", "index", "value"],
+)
+def test_load_rejects_numbers_past_the_digit_limit(line: str, message: str) -> None:
+    with pytest.raises(FormatError, match="line 1") as err:
+        load_trace(line, 3)
+    assert message in str(err.value)
+
+
 def test_load_rejects_step_gaps_at_trace_level() -> None:
     line = '{"step": 2, "coeffs": {"1": "1"}, "value": "1", "tie": false, "branch": "R"}'
     with pytest.raises(FormatError, match="expected 1"):
