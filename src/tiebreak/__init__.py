@@ -29,9 +29,7 @@ from .alphabetic import (
 )
 from .core import (
     LinearFunctional,
-    Rational,
     as_weights,
-    evaluate,
     format_rational,
     parse_rational,
     sign,
@@ -67,20 +65,15 @@ from .perturb import (
     NEGATIVE,
     ORIENTATIONS,
     POSITIVE,
-    PerturbedValue,
     ShadowVector,
     dyadic_shadow,
     max_step_in_domain,
-    pair_weights,
-    perturbed_sign,
-    sign_stability_bound,
 )
 from .trace import (
     ComparisonRecord,
     DecisionTrace,
     dump_trace,
     load_trace,
-    same_decision_path,
     stability_witness,
     verify_policy,
 )
@@ -102,10 +95,8 @@ __all__ = [
     "POLICIES",
     "POLICY_ORIENTATION",
     "POSITIVE",
-    "PerturbedValue",
     "PolicyMismatchError",
     "RIGHTMOST",
-    "Rational",
     "ShadowVector",
     "StructureError",
     "TiebreakError",
@@ -119,7 +110,6 @@ __all__ = [
     "dump_trace",
     "dyadic_shadow",
     "enumerate_trees",
-    "evaluate",
     "format_assignment",
     "format_rational",
     "format_tree",
@@ -130,20 +120,16 @@ __all__ = [
     "load_trace",
     "max_step_in_domain",
     "mirror_tree",
-    "pair_weights",
     "parse_assignment",
     "parse_config",
     "parse_rational",
     "parse_tree",
     "partition_value",
-    "perturbed_sign",
     "phase1_explicit_shadow",
     "reconstruct_from_depths",
     "resolve_orientation_binding",
     "run_campaign",
-    "same_decision_path",
     "sign",
-    "sign_stability_bound",
     "stability_witness",
     "tree_cost",
     "tree_depths",

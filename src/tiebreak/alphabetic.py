@@ -26,9 +26,9 @@ A comparison's functional is the later operand's leaves with coefficient +1
 and the earlier operand's with -1. Each node carries its leaves as two
 signed-item tuples sorted by leaf, ((i, 1), ...) and ((i, -1), ...), built
 once per node, so a comparison's items are one concatenation and one sort
-of presorted runs. The same items give the shadow sum on a tie and become
-the record's functional unchanged. Each run builds one `Fraction` per
-distinct scaled value, not one per record.
+of presorted runs. `trace.recorder` decides each comparison from those
+items and the scaled difference, and the items become the record's
+functional unchanged.
 
 Two independent oracles ship alongside. The interval dynamic program finds
 the optimal cost in O(n^2): each interval searches only the splits between
@@ -45,18 +45,17 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import accumulate
-from operator import add
+from operator import add, sub
 from typing import Callable, Iterator, Sequence, Union
 
 from .core import (
-    LinearFunctional,
     RationalLike,
     clear_denominators,
     require_nonnegative_weights,
 )
 from .errors import CapacityError, DomainError, FormatError, StructureError
 from .perturb import NEGATIVE, POSITIVE, ShadowVector, dyadic_shadow
-from .trace import ComparisonRecord, DecisionTrace, RecordSink, TraceCollector
+from .trace import DecisionTrace, RecordSink, recorder
 
 #: A tree is a 1-based leaf index or a (left, right) pair of trees.
 Tree = Union[int, tuple["Tree", "Tree"]]
@@ -352,11 +351,11 @@ def _phase1(
     entry_weights: Sequence,
     weight_add: Callable,
     weight_sub: Callable,
-    judge: Callable[[list[tuple[int, int]], object], int],
+    decide: Callable[[list[tuple[int, int]], object], int],
 ) -> Tree:
     """Run the combine loop; returns the phase-1 combine shape.
 
-    `judge(items, diff)` must return -1 when the later (minuend) operand is
+    `decide(items, diff)` must return -1 when the later (minuend) operand is
     the smaller and +1 when the earlier (subtrahend) one is; 0 is not an
     answer. `items` are the functional's signed items, sorted by index.
     Operands are two nodes or two blocks' best pairs, and the earlier one in
@@ -374,7 +373,7 @@ def _phase1(
         # The sequence stays ordered by each node's lowest leaf.
         earlier, later = (a, b) if a.first < b.first else (b, a)
         items = sorted(later.plus + earlier.minus)
-        return (judge(items, weight_sub(later.weight, earlier.weight)) < 0) == (a is later)
+        return (decide(items, weight_sub(later.weight, earlier.weight)) < 0) == (a is later)
 
     def block_less(p: _Block, q: _Block) -> bool:
         earlier, later = (p, q) if p.rank < q.rank else (q, p)
@@ -385,7 +384,7 @@ def _phase1(
             items = sorted(later.hi.plus + earlier.lo.minus)
         else:
             items = sorted(later.lo.plus + later.hi.plus + earlier.lo.minus + earlier.hi.minus)
-        return (judge(items, weight_sub(later.total, earlier.total)) < 0) == (p is later)
+        return (decide(items, weight_sub(later.total, earlier.total)) < 0) == (p is later)
 
     blocks = [
         _Block(k, a, b, weight_add(a.weight, b.weight))
@@ -472,57 +471,24 @@ def _check_shadow(n: int, s: ShadowVector) -> None:
 
 def hu_tucker_phase1(
     w: Sequence[RationalLike],
-    policy: str,
     s: ShadowVector,
     on_record: RecordSink | None = None,
 ) -> tuple[tuple[int, ...], DecisionTrace | None]:
     """Combine phase under a shadow direction; returns (leaf depths, trace).
 
-    Ties are resolved by the sign of the functional on `s`, which is what
-    realizes `policy`; whether a given orientation realizes leftmost or
-    rightmost selection is validated externally, not assumed here. When
-    `on_record` is given, records stream to it and the returned trace is
-    None.
+    Every comparison is decided by `trace.recorder`: the sign of its
+    functional at w, and on an exact tie its sign on `s`. Which orientation
+    of `s` realizes which tie policy is measured by the harness, not
+    assumed here. When `on_record` is given, records stream to it and the
+    returned trace is None.
     """
-    if policy not in POLICIES:
-        raise DomainError(f"policy must be one of {POLICIES}, got {policy!r}")
     vec = require_nonnegative_weights(w)
     n = len(vec)
     _check_shadow(n, s)
     scale, scaled = clear_denominators(vec)
-    shadow_entries = s.entries
-    collector = TraceCollector(n) if on_record is None else None
-    sink = on_record if on_record is not None else collector
-    functional = LinearFunctional._trusted
-    make = ComparisonRecord.make
-    values: dict[int, Fraction] = {}  # one Fraction per distinct scaled value
-    step = 0
-
-    def judge(items: list[tuple[int, int]], diff: int) -> int:
-        nonlocal step
-        step += 1
-        if diff:
-            realized = 1 if diff > 0 else -1
-        else:
-            drift = sum(c * shadow_entries[i - 1] for i, c in items)
-            if drift > 0:
-                realized = 1
-            elif drift < 0:
-                realized = -1
-            else:
-                raise DomainError(
-                    f"shadow direction fails to resolve the tie at step {step}"
-                )
-        primary = values.get(diff)
-        if primary is None:
-            primary = values[diff] = Fraction(diff, scale)
-        # The signed items are already sorted, unique, 1-based, and nonzero.
-        sink(make(step, functional(items), primary, realized))
-        return realized
-
-    shape = _phase1(scaled, add, lambda a, b: a - b, judge)
-    depths = _shape_to_depths(shape, n)
-    return depths, (collector.trace() if collector is not None else None)
+    decide, finish = recorder(n, scale, s.entries, on_record)
+    shape = _phase1(scaled, add, sub, decide)
+    return _shape_to_depths(shape, n), finish()
 
 
 def phase1_explicit_shadow(
@@ -532,47 +498,25 @@ def phase1_explicit_shadow(
 ) -> tuple[tuple[int, ...], DecisionTrace | None]:
     """Combine phase over two-component weights (w_i, s_i), no tie policy.
 
-    Every comparison is a plain lexicographic sign of the componentwise
-    difference. Emits the same record stream as `hu_tucker_phase1` would
-    with the matching shadow; a comparison with both components zero cannot
-    be resolved and raises DomainError (it never happens for dyadic shadows).
+    Every comparison is the lexicographic sign of the componentwise
+    difference: the shadow component, computed by this run's own
+    arithmetic, is the drift `recorder` falls back on at a tie. Emits the
+    same record stream as `hu_tucker_phase1` with the same shadow; a
+    comparison with both components zero raises DomainError (it never
+    happens for dyadic shadows).
     """
     vec = require_nonnegative_weights(w)
     n = len(vec)
     _check_shadow(n, s)
     scale, scaled = clear_denominators(vec)
-    paired = list(zip(scaled, s.entries))
-    collector = TraceCollector(n) if on_record is None else None
-    sink = on_record if on_record is not None else collector
-    functional = LinearFunctional._trusted
-    make = ComparisonRecord.make
-    values: dict[int, Fraction] = {}  # one Fraction per distinct scaled value
-    step = 0
-
-    def judge(items: list[tuple[int, int]], diff) -> int:
-        nonlocal step
-        step += 1
-        primary, drift = diff
-        if primary:
-            realized = 1 if primary > 0 else -1
-        elif drift:
-            realized = 1 if drift > 0 else -1
-        else:
-            raise DomainError(f"two-component comparison is exactly zero at step {step}")
-        value = values.get(primary)
-        if value is None:
-            value = values[primary] = Fraction(primary, scale)
-        sink(make(step, functional(items), value, realized))
-        return realized
-
+    decide, finish = recorder(n, scale, s.entries, on_record)
     shape = _phase1(
-        paired,
+        list(zip(scaled, s.entries)),
         lambda a, b: (a[0] + b[0], a[1] + b[1]),
         lambda a, b: (a[0] - b[0], a[1] - b[1]),
-        judge,
+        lambda items, diff: decide(items, *diff),
     )
-    depths = _shape_to_depths(shape, n)
-    return depths, (collector.trace() if collector is not None else None)
+    return _shape_to_depths(shape, n), finish()
 
 
 # ---------------------------------------------------------------------------
@@ -608,26 +552,18 @@ def reconstruct_from_depths(depths: Sequence[int]) -> Tree | None:
 # Full solver
 
 
-def hu_tucker(
-    w: Sequence[RationalLike],
-    policy: str,
-    orientation: str | None = None,
-) -> tuple[Tree | None, DecisionTrace]:
+def hu_tucker(w: Sequence[RationalLike], policy: str) -> tuple[Tree | None, DecisionTrace]:
     """Solve an instance under a tie policy; returns (tree or None, trace).
 
-    The shadow is the dyadic direction bound to the policy (negative for
-    leftmost, positive for rightmost by default; pass `orientation` to
-    override). A None tree means the depth sequence from phase 1 was not
-    realizable, which the underlying theory rules out; it is reported, never
-    raised.
+    The shadow is the dyadic direction bound to the policy: negative for
+    leftmost, positive for rightmost. A None tree means the depth sequence
+    from phase 1 was not realizable, which the underlying theory rules out;
+    it is reported, never raised.
     """
     if policy not in POLICIES:
         raise DomainError(f"policy must be one of {POLICIES}, got {policy!r}")
     vec = require_nonnegative_weights(w)
-    s = dyadic_shadow(len(vec), orientation or POLICY_ORIENTATION[policy])
-    depths, trace = hu_tucker_phase1(vec, policy, s)
-    if trace is None:
-        raise StructureError("phase 1 returned no trace without a record sink")
+    depths, trace = hu_tucker_phase1(vec, dyadic_shadow(len(vec), POLICY_ORIENTATION[policy]))
     return reconstruct_from_depths(depths), trace
 
 

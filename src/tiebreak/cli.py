@@ -66,23 +66,25 @@ def _parse_depths(text: str) -> tuple[int, ...]:
 def _cmd_solve(args: argparse.Namespace) -> int:
     weights = _load_weights(args.weights)
     tree, trace = hu_tucker(weights, args.policy)
-    if args.emit_trace is not None:
-        Path(args.emit_trace).write_text(dump_trace(trace), encoding="utf-8")
+    # Format everything first, so that a FormatError leaves no partial output.
+    trace_text = None if args.emit_trace is None else dump_trace(trace)
     if tree is None:
-        print("INFEASIBLE")
-        return 1
-    print(format_tree(tree))
-    print(f"cost = {format_rational(tree_cost(tree, weights))}")
-    return 0
+        lines = ["INFEASIBLE"]
+    else:
+        lines = [format_tree(tree), f"cost = {format_rational(tree_cost(tree, weights))}"]
+    if trace_text is not None:
+        Path(args.emit_trace).write_text(trace_text, encoding="utf-8")
+    print("\n".join(lines))
+    return 0 if tree is not None else 1
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     weights = _load_weights(args.weights)
-    print(f"dp = {format_rational(dp_optimal_cost(weights))}")
+    lines = [f"dp = {format_rational(dp_optimal_cost(weights))}"]
     if args.brute_force:
         cost, count = brute_force_optimal(weights)
-        print(f"brute = {format_rational(cost)}")
-        print(f"optima = {count}")
+        lines += [f"brute = {format_rational(cost)}", f"optima = {count}"]
+    print("\n".join(lines))
     return 0
 
 
@@ -109,8 +111,8 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
 def _cmd_partition(args: argparse.Namespace) -> int:
     weights = _load_weights(args.weights)
     assignment, _ = greedy_partition(weights)
-    print(format_assignment(assignment))
-    print(f"value = {format_rational(partition_value(assignment, weights))}")
+    value = format_rational(partition_value(assignment, weights))
+    print(f"{format_assignment(assignment)}\nvalue = {value}")
     return 0
 
 

@@ -1,10 +1,10 @@
 """Exact scalars, weight vectors, and sparse linear branching functionals.
 
 Everything downstream (solvers, traces, the harness) works over arbitrary
-precision rationals; no floats anywhere. `Rational` is an alias for
-`fractions.Fraction`, which already guarantees lowest terms, a positive
-denominator, and exact arithmetic. The wire format is stricter than what
-`Fraction()` accepts, so parsing goes through `parse_rational`.
+precision rationals; no floats anywhere. Scalars are `fractions.Fraction`,
+which already guarantees lowest terms, a positive denominator, and exact
+arithmetic. The wire format is stricter than what `Fraction()` accepts, so
+parsing goes through `parse_rational`.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, FormatError, StructureError
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 
@@ -50,11 +48,19 @@ def parse_rational(token: str) -> Fraction:
 
 
 def format_rational(q: RationalLike) -> str:
-    """Canonical text for a rational: no `/1` suffix, no spaces."""
+    """Canonical text for a rational: no `/1` suffix, no spaces.
+
+    A numerator or denominator with more digits than Python converts to
+    text (`sys.get_int_max_str_digits()`, 4,300 by default) is a
+    FormatError, as it is for `parse_rational`.
+    """
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise FormatError("rational has too many digits to print") from None
 
 
 def as_weights(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
@@ -169,7 +175,3 @@ class LinearFunctional(tuple):
         body = ", ".join(f"{i}: {format_rational(c)}" for i, c in self)
         return f"LinearFunctional({{{body}}})"
 
-
-def evaluate(f: LinearFunctional, values: Sequence[RationalLike]) -> RationalLike:
-    """Free-function spelling of `LinearFunctional.evaluate`."""
-    return f.evaluate(values)

@@ -298,7 +298,6 @@ def _perturbed_run_matches(
     vec: tuple[Fraction, ...],
     shadow: ShadowVector,
     step: Fraction,
-    policy: str,
     depths: tuple[int, ...],
     trace: DecisionTrace,
 ) -> bool:
@@ -315,7 +314,7 @@ def _perturbed_run_matches(
             raise _PathMismatch
 
     try:
-        redone, _ = hu_tucker_phase1(moved, policy, shadow, on_record=sink)
+        redone, _ = hu_tucker_phase1(moved, shadow, on_record=sink)
     except _PathMismatch:
         return False
     return redone == depths and next(expected, None) is None
@@ -325,7 +324,6 @@ def check_instance(
     w: Sequence[RationalLike],
     policy: str,
     *,
-    orientation: str | None = None,
     family: Family | None = None,
     seed: str = "",
     dp_cost: Fraction | None = None,
@@ -347,12 +345,10 @@ def check_instance(
     n = len(vec)
     if policy not in POLICIES:
         raise DomainError(f"policy must be one of {POLICIES}, got {policy!r}")
-    orient = POLICY_ORIENTATION[policy] if orientation is None else orientation
-    shadow = dyadic_shadow(n, orient)
+    orientation = POLICY_ORIENTATION[policy]
+    shadow = dyadic_shadow(n, orientation)
 
-    depths, trace = hu_tucker_phase1(vec, policy, shadow)
-    if trace is None:
-        raise StructureError("phase 1 returned no trace without a record sink")
+    depths, trace = hu_tucker_phase1(vec, shadow)
     tree = reconstruct_from_depths(depths)
     feasible = tree is not None
     if dp_cost is None:
@@ -377,7 +373,7 @@ def check_instance(
         else:
             step = witness if cap is None or witness <= cap else cap
             stability_mode = "witness" if step == witness else "clamped"
-            ok = _perturbed_run_matches(vec, shadow, step, policy, depths, trace)
+            ok = _perturbed_run_matches(vec, shadow, step, depths, trace)
             stability = "pass" if ok else "fail"
 
     if brute is None and n <= ORACLE_CAP:
@@ -406,7 +402,7 @@ def check_instance(
         n=n,
         seed=seed,
         policy=policy,
-        orientation=orient,
+        orientation=orientation,
         feasible=feasible,
         optimal=optimal,
         policy_verified=policy_verified,

@@ -12,15 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (
-    LinearFunctional,
-    RationalLike,
-    clear_denominators,
-    require_nonnegative_weights,
-)
-from .errors import CapacityError, DomainError, FormatError, StructureError
+from .core import RationalLike, clear_denominators, require_nonnegative_weights
+from .errors import CapacityError, FormatError, StructureError
 from .perturb import ShadowVector, dyadic_shadow
-from .trace import ComparisonRecord, DecisionTrace
+from .trace import DecisionTrace, recorder
 
 BRUTE_FORCE_CAP = 16
 
@@ -94,57 +89,30 @@ def greedy_partition(
     if len(s.entries) != n:
         raise StructureError(f"instance has {n} weights but shadow has {len(s.entries)}")
     scale, scaled = clear_denominators(vec)
-    shadow_entries = s.entries
-    records: list[ComparisonRecord] = []
-
-    def decide(coeffs: dict[int, int], diff: int) -> int:
-        if diff:
-            realized = 1 if diff > 0 else -1
-        else:
-            drift = sum(c * shadow_entries[i - 1] for i, c in coeffs.items())
-            if drift > 0:
-                realized = 1
-            elif drift < 0:
-                realized = -1
-            else:
-                raise DomainError("shadow direction fails to resolve a tie")
-        f = LinearFunctional._trusted(tuple(sorted(coeffs.items())))
-        records.append(
-            ComparisonRecord.make(len(records) + 1, f, Fraction(diff, scale), realized)
-        )
-        return realized
+    decide, finish = recorder(n, scale, s.entries)
 
     # Nonincreasing insertion sort; ties fall to the shadow, so the order is
-    # total and the comparison sequence deterministic.
+    # total and the comparison sequence deterministic. `order` holds only
+    # earlier indices, so each functional's items are already sorted.
     order: list[int] = []
     for index in range(1, n + 1):
         pos = len(order)
         while pos > 0:
             other = order[pos - 1]
-            outcome = decide({index: 1, other: -1}, scaled[index - 1] - scaled[other - 1])
+            outcome = decide(((other, -1), (index, 1)), scaled[index - 1] - scaled[other - 1])
             if outcome > 0:
                 pos -= 1
             else:
                 break
         order.insert(pos, index)
 
-    sides: dict[int, int] = {}
     balance = 0  # side-1 total minus side-2 total, scaled
-    side_coeffs: dict[int, int] = {}
+    side_items: list[tuple[int, int]] = []  # (index, +1 on side 1 or -1 on side 2)
     for index in order:
-        if not side_coeffs:
-            chosen = 1  # both sides empty; no functional exists to compare
-        else:
-            outcome = decide(dict(side_coeffs), balance)
-            chosen = 2 if outcome > 0 else 1
-        sides[index] = chosen
-        if chosen == 1:
-            balance += scaled[index - 1]
-            side_coeffs[index] = 1
-        else:
-            balance -= scaled[index - 1]
-            side_coeffs[index] = -1
+        # The first index meets two empty sides and no functional to compare.
+        coeff = -1 if side_items and decide(sorted(side_items), balance) > 0 else 1
+        balance += coeff * scaled[index - 1]
+        side_items.append((index, coeff))
 
-    assignment = tuple(sides[i] for i in range(1, n + 1))
-    trace = DecisionTrace(n=n, records=tuple(records))
-    return assignment, trace
+    assignment = tuple(1 if coeff > 0 else 2 for _, coeff in sorted(side_items))
+    return assignment, finish()

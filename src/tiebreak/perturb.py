@@ -1,9 +1,9 @@
-"""Symbolic tie-breaking: shadow directions and two-component values.
+"""Shadow directions for symbolic tie-breaking, and the domain step cap.
 
-A comparison that lands exactly on zero is re-judged in a shadow direction.
-The dyadic shadows (2^n, ..., 2^1) and their entrywise negation make every
-unit-form functional nonzero, because each entry strictly dominates the sum
-of all entries to its right.
+A comparison that lands exactly on zero is re-judged in a shadow direction;
+the rule itself is `trace.recorder`. The dyadic shadows (2^n, ..., 2^1) and
+their entrywise negation make every unit-form functional nonzero, because
+each entry strictly dominates the sum of all entries to its right.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import LinearFunctional, RationalLike, sign
-from .errors import DomainError, StructureError
+from .core import RationalLike
+from .errors import DomainError
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -50,116 +50,6 @@ def dyadic_shadow(n: int, orientation: str = POSITIVE) -> ShadowVector:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
     scale = 1 if orientation == POSITIVE else -1
     return ShadowVector(tuple(scale * (1 << (n + 1 - i)) for i in range(1, n + 1)), orientation)
-
-
-def opposite(orientation: str) -> str:
-    if orientation == POSITIVE:
-        return NEGATIVE
-    if orientation == NEGATIVE:
-        return POSITIVE
-    raise DomainError(f"no opposite for orientation {orientation!r}")
-
-
-def perturbed_sign(f: LinearFunctional, w: Sequence[RationalLike], s: ShadowVector) -> int:
-    """Sign of f at w, with exact zeros re-judged in direction s.
-
-    Returns 0 only when f evaluates to zero on both w and s, i.e. when f is
-    constant along the direction. Unit-form functionals against a dyadic
-    shadow never return 0.
-    """
-    if len(w) != len(s.entries):
-        raise StructureError(f"weights have length {len(w)} but shadow has length {len(s.entries)}")
-    primary = sign(f.evaluate(w))
-    if primary:
-        return primary
-    return sign(f.evaluate(s.entries))
-
-
-@dataclass(frozen=True, slots=True)
-class PerturbedValue:
-    """A value with an infinitesimal shadow component, ordered lexicographically.
-
-    Arithmetic is componentwise; comparisons look at the primary component
-    first and fall through to the shadow only on exact equality. This is the
-    explicit counterpart of `perturbed_sign`.
-    """
-
-    primary: RationalLike
-    shadow: RationalLike
-
-    def __add__(self, other: "PerturbedValue") -> "PerturbedValue":
-        return PerturbedValue(self.primary + other.primary, self.shadow + other.shadow)
-
-    def __sub__(self, other: "PerturbedValue") -> "PerturbedValue":
-        return PerturbedValue(self.primary - other.primary, self.shadow - other.shadow)
-
-    def __neg__(self) -> "PerturbedValue":
-        return PerturbedValue(-self.primary, -self.shadow)
-
-    def __radd__(self, other: RationalLike) -> "PerturbedValue":
-        # Lets sum() start from 0; any other scalar lifts to a zero shadow.
-        return PerturbedValue(other + self.primary, self.shadow)
-
-    def __mul__(self, scalar: RationalLike) -> "PerturbedValue":
-        return PerturbedValue(self.primary * scalar, self.shadow * scalar)
-
-    __rmul__ = __mul__
-
-    def sign(self) -> int:
-        return sign(self.primary) or sign(self.shadow)
-
-    def is_zero(self) -> bool:
-        return not self.primary and not self.shadow
-
-    def _key(self) -> tuple[Fraction, Fraction]:
-        return (Fraction(self.primary), Fraction(self.shadow))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PerturbedValue):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __lt__(self, other: "PerturbedValue") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "PerturbedValue") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "PerturbedValue") -> bool:
-        return other < self
-
-    def __ge__(self, other: "PerturbedValue") -> bool:
-        return other <= self
-
-
-def lex_compare(a: PerturbedValue, b: PerturbedValue) -> int:
-    """-1, 0, or +1 per the lexicographic order on (primary, shadow)."""
-    return (a - b).sign()
-
-
-def pair_weights(w: Sequence[RationalLike], s: ShadowVector) -> tuple[PerturbedValue, ...]:
-    """Zip a weight vector with its shadow into PerturbedValue entries."""
-    if len(w) != len(s.entries):
-        raise StructureError(f"weights have length {len(w)} but shadow has length {len(s.entries)}")
-    return tuple(PerturbedValue(wi, si) for wi, si in zip(w, s.entries))
-
-
-def sign_stability_bound(f: LinearFunctional, w: Sequence[RationalLike], s: ShadowVector) -> Fraction:
-    """A positive step a* below which f keeps its perturbed sign along s.
-
-    For every rational 0 < a <= a*, sign(f(w + a*s)) equals
-    perturbed_sign(f, w, s). When f(w) != 0 the bound is
-    |f(w)| / (|f(s)| + 1); at an exact tie any positive step works and the
-    bound is 1.
-    """
-    primary = f.evaluate(w)
-    if not primary:
-        return Fraction(1)
-    drift = f.evaluate(s.entries)
-    return Fraction(abs(primary), abs(drift) + 1)
 
 
 def max_step_in_domain(w: Sequence[RationalLike], s: ShadowVector) -> Fraction | None:

@@ -6,6 +6,10 @@ mismatch with the recorded value means the trace is corrupt, while a sign
 that contradicts the shadow direction means the solver did not follow the
 claimed tie policy. A verified trace also yields a concrete step bound
 below which the whole decision path is insensitive to perturbation.
+
+Every solver branches through `recorder`, the single symbolic-perturbation
+decision rule, which also numbers and emits the records. The audits
+recompute that rule on their own, so they do not share the solver's code.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .core import (
     parse_rational,
     sign,
 )
-from .errors import CorruptTraceError, FormatError, PolicyMismatchError, StructureError
+from .errors import CorruptTraceError, DomainError, FormatError, PolicyMismatchError, StructureError
 from .perturb import ShadowVector
 
 LEFT = "L"
@@ -174,7 +178,8 @@ def verify_policy(trace: DecisionTrace, w: Sequence[RationalLike], s: ShadowVect
                 f"step {step}: recorded value {format_rational(recorded)} "
                 f"but re-evaluation gives {format_rational(recomputed)}"
             )
-        # Same contract as perturbed_sign: primary sign, shadow on a tie.
+        # The rule `recorder` applies (primary sign, shadow on a tie),
+        # recomputed here so that the audit does not trust the solver's.
         expected = sign(raw) or sign(f.evaluate(shadow_entries))
         ok = expected == realized
         if not ok and first_failure is None:
@@ -232,20 +237,6 @@ def stability_witness(
         if sign(shifted) != realized:
             raise StructureError(f"witness failed its own re-evaluation at step {step}")
     return witness
-
-
-def same_decision_path(a: DecisionTrace, b: DecisionTrace) -> bool:
-    """True when two traces took the same branches through the same functionals.
-
-    Primary values and tie flags may differ; this is the equality that matters
-    when re-solving a perturbed instance.
-    """
-    if a.n != b.n or len(a.records) != len(b.records):
-        return False
-    return all(
-        ra.functional == rb.functional and ra.branch == rb.branch
-        for ra, rb in zip(a.records, b.records)
-    )
 
 
 def dump_trace(trace: DecisionTrace) -> str:
@@ -358,18 +349,58 @@ def _record_from_obj(obj: dict) -> ComparisonRecord:
     return record
 
 
-class TraceCollector:
-    """Record sink that accumulates into a DecisionTrace."""
+def recorder(
+    n: int,
+    scale: int,
+    shadow_entries: Sequence[RationalLike],
+    on_record: RecordSink | None = None,
+) -> tuple[Callable[..., int], Callable[[], DecisionTrace | None]]:
+    """The one symbolic-perturbation decision rule, for a run over n entries.
 
-    def __init__(self, n: int):
-        self.n = n
-        self._records: list[ComparisonRecord] = []
+    Returns `(decide, finish)`. `decide(items, diff, drift=None)` judges one
+    comparison: `items` is its functional as signed items (nonzero `(index,
+    coefficient)` pairs, sorted, unique and 1-based) and `diff` its value at
+    the instance, times `scale`. The realized sign is the sign of `diff`,
+    and on an exact tie the sign of `drift`, which defaults to the
+    functional's value on `shadow_entries` (Edelsbrunner and Muecke,
+    "Simulation of Simplicity", ACM TOG 9(1), 1990). A tie that the drift
+    leaves at zero raises DomainError. Every call emits one record, steps
+    numbered from 1, with value diff / scale; each distinct diff gets one
+    `Fraction`. Records stream to `on_record` when it is given, and then
+    `finish()` returns None; otherwise `finish()` returns them as a
+    DecisionTrace.
+    """
+    records: list[ComparisonRecord] = []
+    sink = records.append if on_record is None else on_record
+    functional = LinearFunctional._trusted
+    make = ComparisonRecord.make
+    values: dict[int, Fraction] = {}
+    step = 0
 
-    def __call__(self, record: ComparisonRecord) -> None:
-        self._records.append(record)
+    def decide(items: Sequence[tuple[int, RationalLike]], diff: int, drift=None) -> int:
+        nonlocal step
+        step += 1
+        if diff:
+            realized = 1 if diff > 0 else -1
+        else:
+            if drift is None:
+                drift = sum(c * shadow_entries[i - 1] for i, c in items)
+            if drift > 0:
+                realized = 1
+            elif drift < 0:
+                realized = -1
+            else:
+                raise DomainError(f"shadow direction fails to resolve the tie at step {step}")
+        primary = values.get(diff)
+        if primary is None:
+            primary = values[diff] = Fraction(diff, scale)
+        sink(make(step, functional(items), primary, realized))
+        return realized
 
-    def trace(self) -> DecisionTrace:
-        return DecisionTrace(n=self.n, records=tuple(self._records))
+    def finish() -> DecisionTrace | None:
+        return DecisionTrace(n=n, records=tuple(records)) if on_record is None else None
+
+    return decide, finish
 
 
 RecordSink = Callable[[ComparisonRecord], None]

@@ -34,7 +34,7 @@ from tiebreak.alphabetic import (
 )
 from tiebreak.errors import CapacityError, DomainError, FormatError, StructureError
 from tiebreak.harness import FAMILY_NAMES, Family, _positional_phase1_depths, generate
-from tiebreak.perturb import dyadic_shadow
+from tiebreak.perturb import ShadowVector, dyadic_shadow
 from tiebreak.trace import ComparisonRecord, dump_trace, load_trace
 
 CATALAN = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 42, 7: 132, 8: 429}
@@ -335,15 +335,23 @@ def test_solver_merges_non_adjacent_leaves_when_needed() -> None:
 def test_solver_rejects_unknown_policy() -> None:
     with pytest.raises(DomainError):
         hu_tucker((1, 2), "middle")
-    with pytest.raises(DomainError):
-        hu_tucker_phase1((1, 2), "middle", dyadic_shadow(2))
 
 
 def test_phase1_rejects_shadow_length_mismatch() -> None:
     with pytest.raises(StructureError):
-        hu_tucker_phase1((1, 2, 3), LEFTMOST, dyadic_shadow(2))
+        hu_tucker_phase1((1, 2, 3), dyadic_shadow(2))
     with pytest.raises(StructureError):
         phase1_explicit_shadow((1, 2, 3), dyadic_shadow(4))
+
+
+def test_phase1_rejects_a_shadow_that_cannot_break_a_tie() -> None:
+    # Two leaves combine without a comparison; three compare two equal pairs
+    # whose shadow sums are equal too.
+    flat = ShadowVector((1, 1, 1))
+    with pytest.raises(DomainError, match="step 1"):
+        hu_tucker_phase1((1, 1, 1), flat)
+    with pytest.raises(DomainError, match="step 1"):
+        phase1_explicit_shadow((1, 1, 1), flat)
 
 
 def test_solver_is_optimal_on_random_instances() -> None:
@@ -365,7 +373,7 @@ def test_policy_and_explicit_runs_emit_identical_records() -> None:
         w = _random_vector(rng, n)
         for policy in (LEFTMOST, RIGHTMOST):
             s = _shadow_for(policy, n)
-            depths_a, trace_a = hu_tucker_phase1(w, policy, s)
+            depths_a, trace_a = hu_tucker_phase1(w, s)
             depths_b, trace_b = phase1_explicit_shadow(w, s)
             assert depths_a == depths_b
             assert trace_a.records == trace_b.records
@@ -390,7 +398,7 @@ def test_every_record_is_unit_form_with_leading_minus_one() -> None:
         n = rng.randint(3, 9)
         w = _random_vector(rng, n)
         for policy in (LEFTMOST, RIGHTMOST):
-            _, trace = hu_tucker_phase1(w, policy, _shadow_for(policy, n))
+            _, trace = hu_tucker_phase1(w, _shadow_for(policy, n))
             assert trace.records, "with three or more leaves the fold compares"
             for rec in trace.records:
                 assert rec.functional.is_unit_form()
@@ -401,9 +409,9 @@ def test_streaming_sink_sees_the_same_records() -> None:
     w = (1, 1, 2, Fraction(1, 2), 1)
     s = _shadow_for(LEFTMOST, 5)
     seen = []
-    depths_a, none_trace = hu_tucker_phase1(w, LEFTMOST, s, on_record=seen.append)
+    depths_a, none_trace = hu_tucker_phase1(w, s, on_record=seen.append)
     assert none_trace is None
-    depths_b, trace = hu_tucker_phase1(w, LEFTMOST, s)
+    depths_b, trace = hu_tucker_phase1(w, s)
     assert depths_a == depths_b
     assert tuple(seen) == trace.records
 
@@ -414,7 +422,7 @@ def test_phase1_depths_always_reconstruct() -> None:
         n = rng.randint(1, 10)
         w = _random_vector(rng, n)
         policy = rng.choice((LEFTMOST, RIGHTMOST))
-        depths, _ = hu_tucker_phase1(w, policy, _shadow_for(policy, n))
+        depths, _ = hu_tucker_phase1(w, _shadow_for(policy, n))
         tree = reconstruct_from_depths(depths)
         assert tree is not None
         assert tree_depths(tree) == depths
@@ -428,7 +436,7 @@ def test_phase1_depths_match_the_positional_oracle(family: str) -> None:
     for n in (1, 2, 3, 5, 8, 16, 24, 40, 80, 200):
         w = generate(Family(family), n, "phase1-oracle")
         for policy in (LEFTMOST, RIGHTMOST):
-            depths, _ = hu_tucker_phase1(w, policy, _shadow_for(policy, n))
+            depths, _ = hu_tucker_phase1(w, _shadow_for(policy, n))
             assert depths == _positional_phase1_depths(w, policy), (family, n, policy)
 
 
@@ -437,5 +445,5 @@ def test_phase1_comparisons_grow_as_n_log_n(policy: str) -> None:
     # All-equal weights make every combinable pair a tie. Comparing every
     # combinable pair in every round takes 343,101 comparisons at n = 200;
     # the heaps need under 4,000.
-    _, trace = hu_tucker_phase1((1,) * 200, policy, _shadow_for(policy, 200))
+    _, trace = hu_tucker_phase1((1,) * 200, _shadow_for(policy, 200))
     assert len(trace.records) <= 8000

@@ -128,6 +128,27 @@ def test_tokens_past_the_digit_limit_exit_two(weights_file, tmp_path, capsys) ->
         assert "too many digits" in captured.err
 
 
+def test_results_past_the_digit_limit_exit_two_with_no_output(
+    weights_file, tmp_path, capsys
+) -> None:
+    # Every token is legal (3,002 digits), but the cost, the partition value
+    # and the trace values have denominators past 4,300 digits.
+    zeros = "0" * 2999
+    wfile = weights_file(f"1/1{zeros}1 1/1{zeros}3 1")
+    trace = tmp_path / "trace.txt"
+    for argv in (
+        ["solve", "--weights", wfile, "--policy", "leftmost", "--emit-trace", str(trace)],
+        ["solve", "--weights", wfile, "--policy", "rightmost"],
+        ["partition", "--weights", wfile],
+        ["oracle", "--weights", wfile],
+    ):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too many digits" in captured.err
+    assert not trace.exists()
+
+
 def test_partition_command(weights_file, capsys) -> None:
     code = main(["partition", "--weights", weights_file("3 1 1 2 2 1")])
     assert code == 0

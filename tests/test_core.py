@@ -11,7 +11,6 @@ from tiebreak.core import (
     LinearFunctional,
     as_weights,
     clear_denominators,
-    evaluate,
     format_rational,
     parse_rational,
     require_nonnegative_weights,
@@ -71,6 +70,15 @@ def test_format_rational_canonical() -> None:
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(0) == "0"
     assert format_rational(7) == "7"
+
+
+@pytest.mark.parametrize(
+    "value", [10**5000, Fraction(1, 10**5000), Fraction(-(10**5000), 7)], ids=["num", "den", "signed"]
+)
+def test_format_rational_rejects_values_past_the_digit_limit(value: Fraction) -> None:
+    # str() raises a bare ValueError past sys.get_int_max_str_digits() digits.
+    with pytest.raises(FormatError, match="too many digits"):
+        format_rational(value)
 
 
 def test_format_parse_roundtrip_random() -> None:
@@ -161,7 +169,7 @@ def test_functional_coeffs_is_a_copy() -> None:
 def test_evaluate_is_an_exact_dot_product() -> None:
     f = LinearFunctional({1: -1, 3: 1})
     assert f.evaluate([Fraction(1, 2), Fraction(99), Fraction(1, 3)]) == Fraction(-1, 6)
-    assert evaluate(f, [1, 0, 1]) == 0
+    assert f.evaluate([1, 0, 1]) == 0
     assert LinearFunctional({}).evaluate([]) == 0
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from tiebreak.errors import CapacityError, FormatError, StructureError
+from tiebreak.errors import CapacityError, DomainError, FormatError, StructureError
+from tiebreak.harness import Family, generate
 from tiebreak.partition import (
     BRUTE_FORCE_CAP,
     brute_force_partition,
@@ -16,8 +18,8 @@ from tiebreak.partition import (
     parse_assignment,
     partition_value,
 )
-from tiebreak.perturb import NEGATIVE, dyadic_shadow
-from tiebreak.trace import stability_witness, verify_policy
+from tiebreak.perturb import NEGATIVE, POSITIVE, ShadowVector, dyadic_shadow
+from tiebreak.trace import dump_trace, stability_witness, verify_policy
 
 
 def test_assignment_text_roundtrip() -> None:
@@ -110,3 +112,33 @@ def test_greedy_alternate_shadow_direction_still_verifies() -> None:
     s = dyadic_shadow(4, NEGATIVE)
     _, trace = greedy_partition(w, s)
     assert verify_policy(trace, w, s).passed
+
+
+#: sha256 of `dump_trace` for one greedy run per (family, n, orientation),
+#: seed "record-stream"; POSITIVE is the default shadow. Like the solver's,
+#: the partition record stream is part of the contract.
+FROZEN_TRACE_DIGESTS = {
+    ("all-equal", 40, POSITIVE): "1484992e0a089710921f2efdfddc7ca852915925569a82f1afcdc0ee417797db",
+    ("all-equal", 40, NEGATIVE): "4f74d5d81c6d6961c8c0893b47683ba852969a5b0cff5601f02507a1d5e13b79",
+    ("pair-sum-ties", 33, POSITIVE): "9e84047ed36c8121be5f2341e1626554e7f81d0cce08398110220ac1e0b1dc58",
+    ("pair-sum-ties", 33, NEGATIVE): "2616f4460b1867e9fff10f9bc134aba2707c571465a57762137474587229687f",
+    ("equal-blocks:3", 40, POSITIVE): "114624d2df5afcbf57dbddd8f344ae68faff9bfc9e1a33b31419db364f1c7516",
+    ("equal-blocks:3", 40, NEGATIVE): "70ad5e40089bbc2b6bc0278cbe0216e6d023ec79cec289cdb9d7d7d7ed37338a",
+    ("uniform-random", 40, POSITIVE): "d7dac33cebf500cc369e82e5ac3ce381003399b32bebb1b0de61f9bd53a21aac",
+    ("uniform-random", 40, NEGATIVE): "94076825373821982ccb1c666bb8b33cd037b33866c41d091633e58661d39747",
+}
+
+
+@pytest.mark.parametrize("token,n,orientation", sorted(FROZEN_TRACE_DIGESTS))
+def test_greedy_record_stream_is_frozen(token: str, n: int, orientation: str) -> None:
+    w = generate(Family.parse(token), n, "record-stream")
+    s = None if orientation == POSITIVE else dyadic_shadow(n, orientation)
+    _, trace = greedy_partition(w, s)
+    digest = hashlib.sha256(dump_trace(trace).encode()).hexdigest()
+    assert digest == FROZEN_TRACE_DIGESTS[token, n, orientation]
+
+
+def test_greedy_rejects_a_shadow_that_cannot_break_a_tie() -> None:
+    # Both sort keys are equal and so are both shadow entries: no sign exists.
+    with pytest.raises(DomainError):
+        greedy_partition((1, 1), ShadowVector((1, 1)))

@@ -1,4 +1,4 @@
-"""Shadow directions, two-component values, and stability bounds."""
+"""Shadow directions and the domain step cap."""
 
 from __future__ import annotations
 
@@ -7,22 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from tiebreak.core import LinearFunctional, sign
-from tiebreak.errors import DomainError, StructureError
-from tiebreak.perturb import (
-    CUSTOM,
-    NEGATIVE,
-    POSITIVE,
-    PerturbedValue,
-    ShadowVector,
-    dyadic_shadow,
-    lex_compare,
-    max_step_in_domain,
-    opposite,
-    pair_weights,
-    perturbed_sign,
-    sign_stability_bound,
-)
+from tiebreak.errors import DomainError
+from tiebreak.perturb import CUSTOM, NEGATIVE, POSITIVE, ShadowVector, dyadic_shadow, max_step_in_domain
 
 
 def test_dyadic_shadow_entries() -> None:
@@ -52,104 +38,6 @@ def test_shadow_vector_must_be_nonempty() -> None:
     with pytest.raises(DomainError):
         ShadowVector(())
     assert ShadowVector((1, 2)).orientation == CUSTOM
-
-
-def test_opposite() -> None:
-    assert opposite(POSITIVE) == NEGATIVE
-    assert opposite(NEGATIVE) == POSITIVE
-    with pytest.raises(DomainError):
-        opposite(CUSTOM)
-
-
-def test_perturbed_sign_prefers_the_primary_value() -> None:
-    f = LinearFunctional({1: 1, 2: -1})
-    s = dyadic_shadow(2)
-    assert perturbed_sign(f, [Fraction(3), Fraction(1)], s) == 1
-    assert perturbed_sign(f, [Fraction(1), Fraction(3)], s) == -1
-
-
-def test_perturbed_sign_resolves_ties_along_the_shadow() -> None:
-    f = LinearFunctional({1: 1, 2: -1})
-    w = [Fraction(2), Fraction(2)]
-    assert perturbed_sign(f, w, dyadic_shadow(2)) == 1
-    assert perturbed_sign(f, w, dyadic_shadow(2, NEGATIVE)) == -1
-
-
-def test_perturbed_sign_zero_only_when_constant_along_the_direction() -> None:
-    # 1*w1 - 2*w2 vanishes on the dyadic direction (8 - 2*4), so a tie stays
-    # a tie; this shape never arises from unit-form functionals.
-    f = LinearFunctional({1: 1, 2: -2})
-    assert perturbed_sign(f, [Fraction(2), Fraction(1)], dyadic_shadow(2)) == 0
-
-
-def test_perturbed_sign_checks_lengths() -> None:
-    with pytest.raises(StructureError):
-        perturbed_sign(LinearFunctional({1: 1}), [1, 2], dyadic_shadow(3))
-
-
-def test_perturbed_value_arithmetic() -> None:
-    a = PerturbedValue(Fraction(1), Fraction(2))
-    b = PerturbedValue(Fraction(3), Fraction(-1))
-    assert a + b == PerturbedValue(Fraction(4), Fraction(1))
-    assert a - b == PerturbedValue(Fraction(-2), Fraction(3))
-    assert -a == PerturbedValue(Fraction(-1), Fraction(-2))
-    assert 2 * a == PerturbedValue(Fraction(2), Fraction(4))
-    assert a * Fraction(1, 2) == PerturbedValue(Fraction(1, 2), Fraction(1))
-
-
-def test_perturbed_value_sums_from_zero() -> None:
-    parts = [PerturbedValue(1, 2), PerturbedValue(3, 4)]
-    assert sum(parts) == PerturbedValue(4, 6)
-
-
-def test_perturbed_value_orders_lexicographically() -> None:
-    assert PerturbedValue(1, 99) < PerturbedValue(2, -99)
-    assert PerturbedValue(1, 1) < PerturbedValue(1, 2)
-    assert PerturbedValue(1, 2) <= PerturbedValue(1, 2)
-    assert PerturbedValue(2, 0) > PerturbedValue(1, 100)
-    assert PerturbedValue(Fraction(1, 2), 0) == PerturbedValue(Fraction(2, 4), 0)
-
-
-def test_perturbed_value_sign_and_zero() -> None:
-    assert PerturbedValue(0, -3).sign() == -1
-    assert PerturbedValue(5, -3).sign() == 1
-    assert PerturbedValue(0, 0).sign() == 0
-    assert PerturbedValue(0, 0).is_zero()
-    assert not PerturbedValue(0, 1).is_zero()
-
-
-def test_lex_compare_matches_the_ordering() -> None:
-    assert lex_compare(PerturbedValue(0, 1), PerturbedValue(0, 2)) == -1
-    assert lex_compare(PerturbedValue(3, 0), PerturbedValue(2, 9)) == 1
-    assert lex_compare(PerturbedValue(1, 1), PerturbedValue(1, 1)) == 0
-
-
-def test_pair_weights() -> None:
-    paired = pair_weights([Fraction(1), Fraction(2)], dyadic_shadow(2))
-    assert paired == (PerturbedValue(Fraction(1), 4), PerturbedValue(Fraction(2), 2))
-    with pytest.raises(StructureError):
-        pair_weights([1], dyadic_shadow(2))
-
-
-def test_sign_stability_bound_on_a_tie_is_one() -> None:
-    f = LinearFunctional({1: 1, 2: -1})
-    assert sign_stability_bound(f, [Fraction(2), Fraction(2)], dyadic_shadow(2)) == 1
-
-
-def test_sign_stability_bound_preserves_the_sign_below_it() -> None:
-    rng = random.Random("perturb-bound")
-    for _ in range(150):
-        n = rng.randint(1, 7)
-        w = [Fraction(rng.randint(0, 24), 1 << rng.randint(0, 3)) for _ in range(n)]
-        support = rng.sample(range(1, n + 1), rng.randint(1, n))
-        f = LinearFunctional({i: rng.choice((-1, 1)) for i in support})
-        s = dyadic_shadow(n, rng.choice((POSITIVE, NEGATIVE)))
-        expected = perturbed_sign(f, w, s)
-        bound = sign_stability_bound(f, w, s)
-        assert bound > 0
-        for a in (bound, bound / 2, bound / 7):
-            moved = [wi + a * si for wi, si in zip(w, s.entries)]
-            assert sign(f.evaluate(moved)) == expected
 
 
 def test_max_step_in_domain() -> None:

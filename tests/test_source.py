@@ -19,3 +19,11 @@ def test_no_assert_statements_in_the_package() -> None:
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_exported_name_resolves_once() -> None:
+    # A name left in __all__ after its definition is gone breaks
+    # `from tiebreak import *`.
+    exported = tiebreak.__all__
+    assert sorted(name for name in set(exported) if exported.count(name) > 1) == []
+    assert [name for name in exported if not hasattr(tiebreak, name)] == []

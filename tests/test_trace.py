@@ -11,6 +11,7 @@ from tiebreak.alphabetic import LEFTMOST, RIGHTMOST, hu_tucker_phase1
 from tiebreak.core import LinearFunctional, sign
 from tiebreak.errors import (
     CorruptTraceError,
+    DomainError,
     FormatError,
     PolicyMismatchError,
     StructureError,
@@ -21,10 +22,9 @@ from tiebreak.trace import (
     RIGHT,
     ComparisonRecord,
     DecisionTrace,
-    TraceCollector,
     dump_trace,
     load_trace,
-    same_decision_path,
+    recorder,
     stability_witness,
     verify_policy,
 )
@@ -40,7 +40,7 @@ def _solve(w, policy):
     vec = tuple(Fraction(x) for x in w)
     orientation = NEGATIVE if policy == LEFTMOST else POSITIVE
     s = dyadic_shadow(len(vec), orientation)
-    depths, trace = hu_tucker_phase1(vec, policy, s)
+    depths, trace = hu_tucker_phase1(vec, s)
     return vec, s, depths, trace
 
 
@@ -94,13 +94,32 @@ def test_trace_requires_consecutive_steps_within_range() -> None:
     assert len(DecisionTrace(n=5, records=())) == 0
 
 
-def test_collector_accumulates_records() -> None:
-    collector = TraceCollector(2)
-    collector(_rec(1))
-    collector(_rec(2))
-    trace = collector.trace()
+def test_recorder_numbers_records_and_breaks_ties_on_the_shadow() -> None:
+    decide, finish = recorder(2, 2, (4, 2))
+    items = ((1, -1), (2, 1))
+    assert decide(items, 3) == 1
+    assert decide(items, -1) == -1
+    assert decide(items, 0) == -1  # shadow value -4 + 2
+    assert decide(items, 0, 5) == 1  # a given drift replaces the shadow value
+    with pytest.raises(DomainError, match="step 5"):
+        decide(items, 0, 0)
+    trace = finish()
     assert trace.n == 2
-    assert [r.step for r in trace.records] == [1, 2]
+    assert [(r.step, r.primary_value, r.realized_sign, r.tie) for r in trace.records] == [
+        (1, Fraction(3, 2), 1, False),
+        (2, Fraction(-1, 2), -1, False),
+        (3, 0, -1, True),
+        (4, 0, 1, True),
+    ]
+    assert all(r.functional == LinearFunctional(items) for r in trace.records)
+    # One Fraction per distinct value.
+    assert trace.records[2].primary_value is trace.records[3].primary_value
+
+    streamed: list[ComparisonRecord] = []
+    decide, finish = recorder(2, 1, (4, 2), streamed.append)
+    assert decide(((1, 1),), 1) == 1
+    assert finish() is None
+    assert [r.step for r in streamed] == [1]
 
 
 def test_dump_load_roundtrip_for_solver_traces() -> None:
@@ -284,13 +303,3 @@ def test_stability_witness_requires_a_verified_trace() -> None:
     vec, _, _, trace = _solve((1, 1, 1), LEFTMOST)
     with pytest.raises(PolicyMismatchError):
         stability_witness(trace, vec, dyadic_shadow(3, POSITIVE))
-
-
-def test_same_decision_path() -> None:
-    vec, s, _, a = _solve((1, 1, 1, 1), LEFTMOST)
-    _, _, _, b = _solve((1, 1, 1, 1), LEFTMOST)
-    assert same_decision_path(a, b)
-    _, _, _, c = _solve((1, 1, 1, 1), RIGHTMOST)
-    assert not same_decision_path(a, c)
-    assert not same_decision_path(a, DecisionTrace(n=4, records=()))
-    assert not same_decision_path(a, DecisionTrace(n=3, records=()))
