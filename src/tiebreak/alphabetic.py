@@ -347,27 +347,32 @@ def _absorb(heap: list, block: _Block, leaf: _SeqNode, less: Callable) -> list:
     return heap
 
 
-def _phase1(
+def phase1_depths(
     entry_weights: Sequence,
     weight_add: Callable,
     weight_sub: Callable,
     decide: Callable[[list[tuple[int, int]], object], int],
-) -> Tree:
-    """Run the combine loop; returns the phase-1 combine shape.
+) -> tuple[int, ...]:
+    """Run the combine loop with the caller's decision rule; returns leaf depths.
 
-    `decide(items, diff)` must return -1 when the later (minuend) operand is
-    the smaller and +1 when the earlier (subtrahend) one is; 0 is not an
-    answer. `items` are the functional's signed items, sorted by index.
-    Operands are two nodes or two blocks' best pairs, and the earlier one in
-    left-to-right order is always the subtrahend, which is what makes the
-    emitted functionals start with a -1 coefficient.
+    `entry_weights` are the leaves' weights in any arithmetic that
+    `weight_add` and `weight_sub` implement. `decide(items, diff)` must
+    return -1 when the later (minuend) operand is the smaller and +1 when
+    the earlier (subtrahend) one is; 0 is not an answer. `items` are the
+    functional's signed items, sorted by index, and `diff` is
+    `weight_sub(later, earlier)`. Operands are two nodes or two blocks' best
+    pairs, and the earlier one in left-to-right order is always the
+    subtrahend, which is what makes the emitted functionals start with a -1
+    coefficient. The solvers below decide through `trace.recorder`; the
+    harness replays decide by checking against a recorded trace instead.
     """
     leaves = [
         _SeqNode(wi, ((i, 1),), ((i, -1),), i, True)
         for i, wi in enumerate(entry_weights, start=1)
     ]
-    if len(leaves) == 1:
-        return leaves[0].shape
+    n = len(leaves)
+    if n == 1:
+        return (0,)
 
     def node_less(a: _SeqNode, b: _SeqNode) -> bool:
         # The sequence stays ordered by each node's lowest leaf.
@@ -447,7 +452,7 @@ def _phase1(
                     b.next.prev = b
         b.heap = heap
         if len(heap) == 1:
-            return merged.shape
+            break
 
         lo = heap[0]
         hi = heap[1] if len(heap) == 2 or node_less(heap[1], heap[2]) else heap[2]
@@ -456,9 +461,7 @@ def _phase1(
         b.lo, b.hi, b.total = lo, hi, weight_add(lo.weight, hi.weight)
         _sift_down(blocks, 0, block_less, True)
 
-
-def _shape_to_depths(shape: Tree, n: int) -> tuple[int, ...]:
-    depths = _leaf_depths(shape)
+    depths = _leaf_depths(merged.shape)
     if set(depths) != set(range(1, n + 1)):
         raise StructureError("combine shape lost leaves")
     return tuple(depths[i] for i in range(1, n + 1))
@@ -487,8 +490,7 @@ def hu_tucker_phase1(
     _check_shadow(n, s)
     scale, scaled = clear_denominators(vec)
     decide, finish = recorder(n, scale, s.entries, on_record)
-    shape = _phase1(scaled, add, sub, decide)
-    return _shape_to_depths(shape, n), finish()
+    return phase1_depths(scaled, add, sub, decide), finish()
 
 
 def phase1_explicit_shadow(
@@ -510,13 +512,13 @@ def phase1_explicit_shadow(
     _check_shadow(n, s)
     scale, scaled = clear_denominators(vec)
     decide, finish = recorder(n, scale, s.entries, on_record)
-    shape = _phase1(
+    depths = phase1_depths(
         list(zip(scaled, s.entries)),
         lambda a, b: (a[0] + b[0], a[1] + b[1]),
         lambda a, b: (a[0] - b[0], a[1] - b[1]),
         lambda items, diff: decide(items, *diff),
     )
-    return _shape_to_depths(shape, n), finish()
+    return depths, finish()
 
 
 # ---------------------------------------------------------------------------

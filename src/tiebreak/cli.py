@@ -110,7 +110,8 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     weights = _load_weights(args.weights)
-    assignment, _ = greedy_partition(weights)
+    # Only the assignment is printed, so the records are dropped as they come.
+    assignment, _ = greedy_partition(weights, on_record=lambda record: None)
     value = format_rational(partition_value(assignment, weights))
     print(f"{format_assignment(assignment)}\nvalue = {value}")
     return 0

@@ -18,6 +18,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Sequence
 
 from .alphabetic import (
@@ -28,6 +29,7 @@ from .alphabetic import (
     brute_force_optimal,
     dp_optimal_cost,
     hu_tucker_phase1,
+    phase1_depths,
     phase1_explicit_shadow,
     reconstruct_from_depths,
     tree_cost,
@@ -40,9 +42,9 @@ from .core import (
     parse_rational,
     require_nonnegative_weights,
 )
-from .errors import DomainError, FormatError, StructureError
+from .errors import DomainError, FormatError, PolicyMismatchError, StructureError
 from .perturb import NEGATIVE, POSITIVE, ShadowVector, dyadic_shadow, max_step_in_domain
-from .trace import DecisionTrace, stability_witness, verify_policy
+from .trace import DecisionTrace, stability_witness
 
 #: Brute-force cross-checks stop here; the DP oracle carries on alone above.
 ORACLE_CAP = 11
@@ -273,25 +275,69 @@ class _PathMismatch(Exception):
     pass
 
 
+def _path_repeats(
+    entry_weights: list, weight_add, weight_sub, decide, depths: tuple[int, ...], pending
+) -> bool:
+    """Run phase 1 with a checking `decide`; the solve's path must repeat exactly.
+
+    `decide` takes the next record from `pending`, an iterator over the
+    solve's records, and raises _PathMismatch at the first decision that
+    differs from it. The run must also reach the same depths and leave no
+    record unused.
+    """
+    try:
+        redone = phase1_depths(entry_weights, weight_add, weight_sub, decide)
+    except _PathMismatch:
+        return False
+    return redone == depths and next(pending, None) is None
+
+
 def _explicit_run_matches(
     vec: tuple[Fraction, ...],
     shadow: ShadowVector,
     depths: tuple[int, ...],
     trace: DecisionTrace,
 ) -> bool:
-    """Re-solve with two-component arithmetic, comparing records as they stream."""
-    expected = iter(trace.records)
+    """Re-solve with two-component arithmetic, checking each decision in place.
 
-    def sink(rec) -> None:
-        want = next(expected, None)
-        if want is None or rec != want:
+    Every comparison's own (diff, drift) pair gives its lexicographic sign,
+    which must equal the next record's realized sign; the record must also
+    have this comparison's functional, value (diff / scale, compared by
+    cross-multiplication) and tie flag. A comparison zero in both
+    components decides nothing and counts as a mismatch. No record is built.
+    """
+    scale, scaled = clear_denominators(vec)
+    pending = iter(trace.records)
+
+    def decide(items, diff) -> int:
+        d, drift = diff
+        if d:
+            realized = 1 if d > 0 else -1
+        elif drift:
+            realized = 1 if drift > 0 else -1
+        else:
             raise _PathMismatch
+        record = next(pending, None)
+        if record is None:
+            raise _PathMismatch
+        _, functional, value, recorded, tie, _ = record
+        if (
+            recorded != realized
+            or tie != (not d)
+            or d * value.denominator != value.numerator * scale
+            or functional != tuple(items)
+        ):
+            raise _PathMismatch
+        return realized
 
-    try:
-        redone, _ = phase1_explicit_shadow(vec, shadow, on_record=sink)
-    except _PathMismatch:
-        return False
-    return redone == depths and next(expected, None) is None
+    return _path_repeats(
+        list(zip(scaled, shadow.entries)),
+        lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        lambda a, b: (a[0] - b[0], a[1] - b[1]),
+        decide,
+        depths,
+        pending,
+    )
 
 
 def _perturbed_run_matches(
@@ -301,23 +347,31 @@ def _perturbed_run_matches(
     depths: tuple[int, ...],
     trace: DecisionTrace,
 ) -> bool:
-    """Re-solve at w + step*s; the decision path must repeat without any tie."""
-    moved = tuple(x + step * e for x, e in zip(vec, shadow.entries))
-    expected = iter(trace.records)
+    """Re-solve at w + step*s; the decision path must repeat without any tie.
 
-    def sink(rec) -> None:
-        want = next(expected, None)
-        if want is None:
-            raise _PathMismatch
-        _, functional, _, _, tie, branch = rec
-        if tie or functional != want.functional or branch != want.branch:
-            raise _PathMismatch
+    Each comparison's sign at the moved weights must equal the next
+    record's realized sign, over the record's functional; a tie is a
+    mismatch. A moved weight below zero raises DomainError.
+    """
+    scale, scaled = clear_denominators(vec)
+    num, den = step.numerator, step.denominator
+    # The moved weights times the positive scale * den, as ints: every sign
+    # the replay takes is the same as at w + step*s itself.
+    moved = [x * den + num * e * scale for x, e in zip(scaled, shadow.entries)]
+    if min(moved) < 0:
+        raise DomainError(f"step {format_rational(step)} makes a weight negative")
+    pending = iter(trace.records)
 
-    try:
-        redone, _ = hu_tucker_phase1(moved, shadow, on_record=sink)
-    except _PathMismatch:
-        return False
-    return redone == depths and next(expected, None) is None
+    def decide(items, diff) -> int:
+        record = next(pending, None)
+        if record is None or not diff:
+            raise _PathMismatch
+        realized = 1 if diff > 0 else -1
+        if record[3] != realized or record[1] != tuple(items):
+            raise _PathMismatch
+        return realized
+
+    return _path_repeats(moved, add, sub, decide, depths, pending)
 
 
 def check_instance(
@@ -332,10 +386,12 @@ def check_instance(
     """Run one weight vector through every certification check.
 
     Checks: the depth sequence reconstructs (feasibility), the tree cost
-    matches the DP oracle (optimality), the trace passes `verify_policy`,
-    the explicit two-component re-run reproduces the identical record
-    stream, and re-solving at the stability witness repeats the decision
-    path tie-free. Failures are recorded, never raised. When the witness
+    matches the DP oracle (optimality), the trace passes the policy audit
+    (one `stability_witness` pass, which also bounds the witness), the
+    explicit two-component re-run makes every recorded decision, and
+    re-solving at the stability witness repeats the decision path tie-free.
+    Both re-runs check each decision against the trace as they make it and
+    build no records. Failures are recorded, never raised. When the witness
     step would leave the nonnegative domain (possible with the negative
     orientation) the replay is clamped to the largest admissible step, and
     at boundary points with no admissible step it is skipped; both cases
@@ -356,15 +412,18 @@ def check_instance(
     cost = None if tree is None else tree_cost(tree, vec)
     optimal = feasible and cost == dp_cost
 
-    policy_verified = verify_policy(trace, vec, shadow).passed
+    # One audit pass: the policy check and the witness bound together.
+    try:
+        witness: Fraction | None = stability_witness(trace, vec, shadow)
+    except PolicyMismatchError:
+        witness = None
+    policy_verified = witness is not None
     equivalent = _explicit_run_matches(vec, shadow, depths, trace)
 
-    witness: Fraction | None = None
     left: bool | None = None
     stability = "not-run"
     stability_mode: str | None = None
-    if policy_verified:
-        witness = stability_witness(trace, vec, shadow, verified=True)
+    if witness is not None:
         if family is not None:
             left = leaves_family(family, vec, shadow, witness)
         cap = max_step_in_domain(vec, shadow)

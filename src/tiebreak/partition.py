@@ -15,7 +15,7 @@ from typing import Sequence
 from .core import RationalLike, clear_denominators, require_nonnegative_weights
 from .errors import CapacityError, FormatError, StructureError
 from .perturb import ShadowVector, dyadic_shadow
-from .trace import DecisionTrace, recorder
+from .trace import DecisionTrace, RecordSink, recorder
 
 BRUTE_FORCE_CAP = 16
 
@@ -71,8 +71,10 @@ def brute_force_partition(w: Sequence[RationalLike]) -> Fraction:
 
 
 def greedy_partition(
-    w: Sequence[RationalLike], s: ShadowVector | None = None
-) -> tuple[Assignment, DecisionTrace]:
+    w: Sequence[RationalLike],
+    s: ShadowVector | None = None,
+    on_record: RecordSink | None = None,
+) -> tuple[Assignment, DecisionTrace | None]:
     """Sorted greedy assignment with a full decision trace.
 
     Sorting uses insertion sort with explicit pairwise comparisons (the
@@ -80,7 +82,9 @@ def greedy_partition(
     compares the running side difference (coefficients +1 on side 1, -1 on
     side 2) against zero. The shadow defaults to the positive dyadic
     direction, which keeps perturbed instances inside the nonnegative
-    domain.
+    domain. When `on_record` is given, records stream to it and the
+    returned trace is None; a placement's functional lists every index
+    placed so far, so the full trace holds about n^2/2 support items.
     """
     vec = require_nonnegative_weights(w)
     n = len(vec)
@@ -89,7 +93,7 @@ def greedy_partition(
     if len(s.entries) != n:
         raise StructureError(f"instance has {n} weights but shadow has {len(s.entries)}")
     scale, scaled = clear_denominators(vec)
-    decide, finish = recorder(n, scale, s.entries)
+    decide, finish = recorder(n, scale, s.entries, on_record)
 
     # Nonincreasing insertion sort; ties fall to the shadow, so the order is
     # total and the comparison sequence deterministic. `order` holds only

@@ -139,7 +139,6 @@ class DecisionTrace:
 @dataclass(slots=True)
 class RecordCheck:
     step: int
-    recomputed: Fraction
     expected_sign: int
     ok: bool
 
@@ -153,6 +152,64 @@ class VerificationReport:
     first_failure: int | None
 
 
+def _audit(
+    trace: DecisionTrace, w: Sequence[RationalLike], s: ShadowVector
+) -> tuple[list[int], int | None, Fraction, list[tuple], int]:
+    """The one per-record pass that `verify_policy` and `stability_witness` share.
+
+    Each functional is evaluated once at the denominator-cleared weights,
+    giving raw = f(w) * scale, and once on the shadow, giving the drift
+    f(s). A raw value that disagrees with the recorded one raises
+    CorruptTraceError. Returns the sign the policy dictates for each record
+    (the sign of raw, on a tie the sign of the drift), the first step whose
+    realized sign differs from it (None when none does), the witness bound
+    min |f(w)| / (|f(s)| + 1) over the records with f(w) != 0 (1 when there
+    are none), the (raw, drift) pairs and the scale.
+    """
+    if len(w) != trace.n:
+        raise StructureError(f"trace is over {trace.n} weights but instance has {len(w)}")
+    if len(s.entries) != trace.n:
+        raise StructureError(f"trace is over {trace.n} weights but shadow has {len(s.entries)}")
+    scale, scaled = clear_denominators(w)
+    # Index 0 is padding, so that 1-based indices need no shift.
+    at_w = [0, *scaled]
+    at_s = [0, *s.entries]
+    expected_signs = []
+    terms = []
+    first_failure = None
+    # The running minimum is the pair wn / wd, compared by cross-
+    # multiplication. Raw values and drifts are ints, or Fractions when a
+    # loaded functional has fractional coefficients.
+    wn = wd = 1
+    for step, f, recorded, realized, _, _ in trace.records:
+        raw = drift = 0
+        for i, c in f:
+            raw += c * at_w[i]
+            drift += c * at_s[i]
+        # Agreement with the record is the identity raw * qd == qn * scale.
+        if raw * recorded.denominator != recorded.numerator * scale:
+            raise CorruptTraceError(
+                f"step {step}: recorded value {format_rational(recorded)} "
+                f"but re-evaluation gives {format_rational(Fraction(raw, scale))}"
+            )
+        # The rule `recorder` applies (primary sign, shadow on a tie),
+        # recomputed here so that the audit does not trust the solver's.
+        if raw:
+            expected = 1 if raw > 0 else -1
+            slack = abs(drift) + 1
+            bn = abs(raw) * slack.denominator
+            bd = scale * slack.numerator
+            if bn * wd < wn * bd:
+                wn, wd = bn, bd
+        else:
+            expected = sign(drift)
+        if expected != realized and first_failure is None:
+            first_failure = step
+        expected_signs.append(expected)
+        terms.append((raw, drift))
+    return expected_signs, first_failure, Fraction(wn, wd), terms, scale
+
+
 def verify_policy(trace: DecisionTrace, w: Sequence[RationalLike], s: ShadowVector) -> VerificationReport:
     """Audit a trace against its instance and a shadow direction.
 
@@ -160,33 +217,12 @@ def verify_policy(trace: DecisionTrace, w: Sequence[RationalLike], s: ShadowVect
     value raises CorruptTraceError; an otherwise intact record fails when its
     realized sign differs from the sign the shadow direction dictates.
     """
-    if len(w) != trace.n:
-        raise StructureError(f"trace is over {trace.n} weights but instance has {len(w)}")
-    if len(s.entries) != trace.n:
-        raise StructureError(f"trace is over {trace.n} weights but shadow has {len(s.entries)}")
-    scale, scaled = clear_denominators(w)
-    shadow_entries = s.entries
-    checks = []
-    first_failure = None
-    for step, f, recorded, realized, _, _ in trace.records:
-        # Evaluate over denominator-cleared weights; agreement with the
-        # record is the cross-multiplied identity raw * qd == qn * scale.
-        raw = sum(c * scaled[i - 1] for i, c in f)
-        if raw * recorded.denominator != recorded.numerator * scale:
-            recomputed = Fraction(raw, scale)
-            raise CorruptTraceError(
-                f"step {step}: recorded value {format_rational(recorded)} "
-                f"but re-evaluation gives {format_rational(recomputed)}"
-            )
-        # The rule `recorder` applies (primary sign, shadow on a tie),
-        # recomputed here so that the audit does not trust the solver's.
-        expected = sign(raw) or sign(f.evaluate(shadow_entries))
-        ok = expected == realized
-        if not ok and first_failure is None:
-            first_failure = step
-        # The identity above shows raw / scale equals the recorded value.
-        checks.append(RecordCheck(step, recorded, expected, ok))
-    return VerificationReport(first_failure is None, tuple(checks), first_failure)
+    expected_signs, first_failure, _, _, _ = _audit(trace, w, s)
+    checks = tuple(
+        RecordCheck(record[0], expected, expected == record[3])
+        for record, expected in zip(trace.records, expected_signs)
+    )
+    return VerificationReport(first_failure is None, checks, first_failure)
 
 
 def stability_witness(
@@ -199,42 +235,25 @@ def stability_witness(
     """A step a* > 0 below which every recorded sign survives perturbation.
 
     For all rational 0 < a <= a*, sign(f(w + a*s)) equals the recorded
-    realized sign for every record f. Requires the trace to pass
-    verify_policy; pass verified=True when the caller already audited it.
-    The bound is the minimum of |value| / (|f(s)| + 1) over non-tie records
-    and 1 when every comparison was a tie (or the trace is empty).
+    realized sign for every record f. The trace must pass verify_policy:
+    the audit runs in the same pass as the bound, and a trace that fails it
+    raises PolicyMismatchError. With verified=True that error is not raised
+    and the re-evaluation below rejects such a trace instead. A corrupt
+    recorded value raises CorruptTraceError either way. The bound is the
+    minimum of |value| / (|f(s)| + 1) over non-tie records and 1 when every
+    comparison was a tie (or the trace is empty).
     """
-    if not verified:
-        report = verify_policy(trace, w, s)
-        if not report.passed:
-            raise PolicyMismatchError(
-                f"trace fails policy verification at step {report.first_failure}; "
-                f"no stability witness exists"
-            )
-    # A verified trace's recorded values equal f(w), so the per-record bound
-    # |f(w)| / (|f(s)| + 1) only needs the shadow drift f(s) recomputed. The
-    # running minimum is the integer pair wn / wd, compared by
-    # cross-multiplication; a drift is a Fraction when a loaded functional
-    # has fractional coefficients, and ints carry numerator and denominator.
-    entries = s.entries
-    drifts = []
-    wn = wd = 1
-    for _, f, p, _, tie, _ in trace.records:
-        drift = sum(c * entries[i - 1] for i, c in f)
-        drifts.append(drift)
-        if not tie:
-            slack = abs(drift) + 1
-            bn = abs(p.numerator) * slack.denominator
-            bd = p.denominator * slack.numerator
-            if bn * wd < wn * bd:
-                wn, wd = bn, bd
-    witness = Fraction(wn, wd)
+    _, first_failure, witness, terms, scale = _audit(trace, w, s)
+    if first_failure is not None and not verified:
+        raise PolicyMismatchError(
+            f"trace fails policy verification at step {first_failure}; "
+            f"no stability witness exists"
+        )
     an, ad = witness.numerator, witness.denominator
-    for (step, _, p, realized, _, _), drift in zip(trace.records, drifts):
-        # sign(p + a*d) via the integer (or at worst rational) numerator of
-        # p*ad + an*d over the positive denominator pd*ad.
-        shifted = p.numerator * ad + an * drift * p.denominator
-        if sign(shifted) != realized:
+    for (step, _, _, realized, _, _), (raw, drift) in zip(trace.records, terms):
+        # sign(f(w) + a*f(s)) via the numerator raw*ad + an*drift*scale over
+        # the positive denominator scale*ad.
+        if sign(raw * ad + an * drift * scale) != realized:
             raise StructureError(f"witness failed its own re-evaluation at step {step}")
     return witness
 
@@ -365,16 +384,18 @@ def recorder(
     functional's value on `shadow_entries` (Edelsbrunner and Muecke,
     "Simulation of Simplicity", ACM TOG 9(1), 1990). A tie that the drift
     leaves at zero raises DomainError. Every call emits one record, steps
-    numbered from 1, with value diff / scale; each distinct diff gets one
-    `Fraction`. Records stream to `on_record` when it is given, and then
-    `finish()` returns None; otherwise `finish()` returns them as a
-    DecisionTrace.
+    numbered from 1, with value diff / scale. Records stream to
+    `on_record` when it is given, and then `finish()` returns None;
+    otherwise `finish()` returns them as a DecisionTrace, whose records
+    share one `Fraction` per distinct diff. Streamed records each get their
+    own, so that a sink that drops them keeps memory flat.
     """
     records: list[ComparisonRecord] = []
     sink = records.append if on_record is None else on_record
     functional = LinearFunctional._trusted
     make = ComparisonRecord.make
     values: dict[int, Fraction] = {}
+    keep_values = on_record is None
     step = 0
 
     def decide(items: Sequence[tuple[int, RationalLike]], diff: int, drift=None) -> int:
@@ -393,7 +414,9 @@ def recorder(
                 raise DomainError(f"shadow direction fails to resolve the tie at step {step}")
         primary = values.get(diff)
         if primary is None:
-            primary = values[diff] = Fraction(diff, scale)
+            primary = Fraction(diff, scale)
+            if keep_values:
+                values[diff] = primary
         sink(make(step, functional(items), primary, realized))
         return realized
 

@@ -8,6 +8,7 @@ written to the real stdout so they appear even under pytest capture.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import random
 import sys
 import time
@@ -206,6 +207,18 @@ def test_partition_traces_verify_and_respect_the_oracle(criterion) -> None:
             assert len(replay.records) == len(trace.records)
             assert not any(rec.tie for rec in replay.records)
             assert [r.branch for r in replay.records] == [r.branch for r in trace.records]
+
+
+#: sha256 of the acceptance report. The report is the campaign's contract:
+#: a change that moves a verdict, a witness or a row changes these bytes.
+CAMPAIGN_REPORT_SHA256 = "e940bdd2d3a41fbf3d5dc10c41da42bf912ae8c959a2c9d2857b841eca8715d8"
+
+
+def test_campaign_report_bytes_are_pinned(campaign, criterion) -> None:
+    with criterion("report-pin"):
+        report, _ = campaign
+        digest = hashlib.sha256(report.render().encode("utf-8")).hexdigest()
+        assert digest == CAMPAIGN_REPORT_SHA256
 
 
 def test_identical_configs_render_identical_reports(campaign, criterion) -> None:

@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from tiebreak.alphabetic import LEFTMOST, POLICY_ORIENTATION, RIGHTMOST
+from tiebreak.alphabetic import (
+    LEFTMOST,
+    POLICIES,
+    POLICY_ORIENTATION,
+    RIGHTMOST,
+    hu_tucker_phase1,
+    phase1_explicit_shadow,
+)
+from tiebreak.core import LinearFunctional
 from tiebreak.errors import DomainError, FormatError, StructureError
 from tiebreak.harness import (
     ALL_EQUAL,
@@ -20,7 +28,9 @@ from tiebreak.harness import (
     ZERO_SPRINKLED,
     CampaignConfig,
     Family,
+    _explicit_run_matches,
     _parse_int,
+    _perturbed_run_matches,
     check_instance,
     check_lipschitz,
     generate,
@@ -29,7 +39,8 @@ from tiebreak.harness import (
     resolve_orientation_binding,
     run_campaign,
 )
-from tiebreak.perturb import CUSTOM, ShadowVector, dyadic_shadow
+from tiebreak.perturb import CUSTOM, ShadowVector, dyadic_shadow, max_step_in_domain
+from tiebreak.trace import LEFT, RIGHT, ComparisonRecord, DecisionTrace, stability_witness
 
 
 # -- families ---------------------------------------------------------------
@@ -166,6 +177,157 @@ def test_check_instance_large_sizes_skip_enumeration() -> None:
     assert verdict.passed
     assert verdict.optima is None
     assert verdict.oracles_agree is None
+
+
+def test_check_instance_mints_records_only_for_the_solve(monkeypatch) -> None:
+    # The replays check each decision against the solve's records in place,
+    # so one check mints exactly the solve's records and no more.
+    w = generate(Family(PAIR_SUM_TIES), 24, "mint")
+    s = dyadic_shadow(24, POLICY_ORIENTATION[RIGHTMOST])
+    _, trace = hu_tucker_phase1(w, s)
+    make = ComparisonRecord.make
+    minted = []
+
+    def counting_make(*args):
+        minted.append(args[0])
+        return make(*args)
+
+    monkeypatch.setattr(ComparisonRecord, "make", counting_make)
+    verdict = check_instance(w, RIGHTMOST)
+    assert verdict.passed and verdict.equivalent
+    assert verdict.stability == "pass" and verdict.stability_mode == "witness"
+    assert minted == list(range(1, len(trace.records) + 1))
+
+
+# -- replays that check each decision in place ------------------------------
+
+
+def _solve(w, policy):
+    s = dyadic_shadow(len(w), POLICY_ORIENTATION[policy])
+    depths, trace = hu_tucker_phase1(w, s)
+    return s, depths, trace
+
+
+def _stream_matches(w, s, depths, trace) -> bool:
+    """Reference verdict: phase1_explicit_shadow's record stream equals the trace."""
+    redone, replay = phase1_explicit_shadow(w, s)
+    return redone == depths and replay.records == trace.records
+
+
+def _forge(trace: DecisionTrace, records) -> DecisionTrace:
+    """A trace of `records`, renumbered from step 1, other fields as given."""
+    return DecisionTrace(
+        n=trace.n,
+        records=tuple(
+            tuple.__new__(ComparisonRecord, (step, *record[1:]))
+            for step, record in enumerate(records, start=1)
+        ),
+    )
+
+
+def _forgeries(trace: DecisionTrace) -> dict[str, DecisionTrace]:
+    """One altered copy of a trace with two or more records per kind of change."""
+    records = list(trace.records)
+    # Alter a tie where there is one, so that a flipped branch still reads
+    # as a sign the shadow could have given.
+    k = next((j for j, r in enumerate(records) if r.tie), len(records) // 2)
+    step, functional, value, realized, tie, branch = records[k]
+    other = next(r.functional for r in records if r.functional != functional)
+
+    def replaced(record) -> DecisionTrace:
+        return _forge(trace, records[:k] + [record] + records[k + 1 :])
+
+    new = tuple.__new__
+    return {
+        "value": replaced(new(ComparisonRecord, (step, functional, value + 1, realized, tie, branch))),
+        "functional": replaced(new(ComparisonRecord, (step, other, value, realized, tie, branch))),
+        "branch": replaced(
+            new(ComparisonRecord, (step, functional, value, -realized, tie, RIGHT if branch == LEFT else LEFT))
+        ),
+        "tie-flag": replaced(new(ComparisonRecord, (step, functional, value, realized, not tie, branch))),
+        "dropped": _forge(trace, records[:k] + records[k + 1 :]),
+        "added": _forge(trace, records + [records[-1]]),
+    }
+
+
+def _rebuilt(trace: DecisionTrace) -> DecisionTrace:
+    """An equal trace that shares no functional or value object with `trace`."""
+    return DecisionTrace(
+        n=trace.n,
+        records=tuple(
+            ComparisonRecord(
+                step=r.step,
+                functional=LinearFunctional(dict(r.functional)),
+                primary_value=Fraction(r.primary_value.numerator, r.primary_value.denominator),
+                realized_sign=r.realized_sign,
+                tie=r.tie,
+                branch=r.branch,
+            )
+            for r in trace.records
+        ),
+    )
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_explicit_replay_agrees_with_the_record_stream_comparison(name: str) -> None:
+    # The in-place replay must give the verdict that comparing the records
+    # phase1_explicit_shadow emits with the solve's gives: on the solve's
+    # own trace, on an equal copy built from fresh objects, and on forgeries.
+    family = Family(name)
+    for n in range(1, 41):
+        w = generate(family, n, "in-place")
+        for policy in POLICIES:
+            s, depths, trace = _solve(w, policy)
+            cases = [trace, _rebuilt(trace)]
+            if len(trace.records) >= 2 and n % 3 == 1:
+                cases += _forgeries(trace).values()
+            for case in cases:
+                assert _explicit_run_matches(w, s, depths, case) == _stream_matches(w, s, depths, case)
+            assert _explicit_run_matches(w, s, depths, trace)
+
+
+@pytest.mark.parametrize("kind", ["value", "functional", "branch", "tie-flag", "dropped", "added"])
+def test_forged_traces_fail_the_replays(kind: str) -> None:
+    w = generate(Family(PAIR_SUM_TIES), 16, "forged")
+    s, depths, trace = _solve(w, RIGHTMOST)
+    witness = stability_witness(trace, w, s)
+    assert _explicit_run_matches(w, s, depths, trace)
+    assert _perturbed_run_matches(w, s, witness, depths, trace)
+    forged = _forgeries(trace)[kind]
+    assert not _explicit_run_matches(w, s, depths, forged)
+    if kind in ("functional", "branch", "dropped", "added"):
+        # The perturbed replay checks the path, not values or tie flags.
+        assert not _perturbed_run_matches(w, s, witness, depths, forged)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_perturbed_replay_fails_where_the_path_ties(policy: str) -> None:
+    # The smallest a > 0 with f(w) + a*f(s) = 0 for some record: below it
+    # every recorded sign holds, and at it the replay meets a tie. The tied
+    # record's sign is -1 under one policy and +1 under the other, so a tie
+    # read as either sign would go unnoticed under one of them.
+    w = generate(Family(UNIFORM_RANDOM), 12, "tie-at-step")
+    s, depths, trace = _solve(w, policy)
+    roots = []
+    for r in trace.records:
+        drift = r.functional.evaluate(s.entries)
+        if r.primary_value * drift < 0:
+            roots.append((-r.primary_value / drift, r.realized_sign))
+    first, tied_sign = min(roots)
+    assert tied_sign == (-1 if policy == LEFTMOST else 1)
+    cap = max_step_in_domain(w, s)
+    assert cap is None or first <= cap
+    witness = stability_witness(trace, w, s)
+    assert witness < first
+    assert _perturbed_run_matches(w, s, witness, depths, trace)
+    assert not _perturbed_run_matches(w, s, first, depths, trace)
+
+
+def test_perturbed_replay_keeps_moved_weights_nonnegative() -> None:
+    w = (Fraction(0), Fraction(1), Fraction(1))
+    s, depths, trace = _solve(w, LEFTMOST)
+    with pytest.raises(DomainError, match="negative"):
+        _perturbed_run_matches(w, s, Fraction(1), depths, trace)
 
 
 # -- continuity -------------------------------------------------------------

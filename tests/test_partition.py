@@ -138,6 +138,18 @@ def test_greedy_record_stream_is_frozen(token: str, n: int, orientation: str) ->
     assert digest == FROZEN_TRACE_DIGESTS[token, n, orientation]
 
 
+@pytest.mark.parametrize("token,n,orientation", sorted(FROZEN_TRACE_DIGESTS))
+def test_greedy_streams_the_frozen_records_to_a_sink(token: str, n: int, orientation: str) -> None:
+    w = generate(Family.parse(token), n, "record-stream")
+    s = None if orientation == POSITIVE else dyadic_shadow(n, orientation)
+    seen = []
+    assignment, none_trace = greedy_partition(w, s, on_record=seen.append)
+    assert none_trace is None
+    stored_assignment, trace = greedy_partition(w, s)
+    assert assignment == stored_assignment
+    assert tuple(seen) == trace.records
+
+
 def test_greedy_rejects_a_shadow_that_cannot_break_a_tie() -> None:
     # Both sort keys are equal and so are both shadow entries: no sign exists.
     with pytest.raises(DomainError):

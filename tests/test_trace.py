@@ -208,8 +208,11 @@ def test_loaded_fractional_coefficients_stay_exact() -> None:
     rec = trace.records[0]
     assert rec.functional == LinearFunctional({2: Fraction(-1, 2)})
     assert rec.primary_value == Fraction(-1, 4)
-    report = verify_policy(trace, [Fraction(1), Fraction(1, 2)], dyadic_shadow(2))
+    w = [Fraction(1), Fraction(1, 2)]
+    report = verify_policy(trace, w, dyadic_shadow(2))
     assert report.passed
+    # |f(w)| / (|f(s)| + 1) with f(s) = -1/2 * 2 = -1.
+    assert stability_witness(trace, w, dyadic_shadow(2)) == Fraction(1, 8)
 
 
 def test_verify_policy_passes_freshly_solved_traces() -> None:
@@ -220,7 +223,7 @@ def test_verify_policy_passes_freshly_solved_traces() -> None:
         assert report.first_failure is None
         assert len(report.checks) == len(trace.records)
         assert all(c.ok for c in report.checks)
-        assert [c.recomputed for c in report.checks] == [r.primary_value for r in trace.records]
+        assert [c.expected_sign for c in report.checks] == [r.realized_sign for r in trace.records]
 
 
 def test_verify_policy_flags_the_wrong_orientation() -> None:
