@@ -3,6 +3,13 @@
 Exit status contract: 0 for success or an overall PASS, 1 for FAIL or an
 infeasible answer, 2 for usage and format problems. Output is deterministic
 for identical inputs and flags.
+
+Each command loads only the modules it needs: `fuzz` and `partition` import
+the campaign harness and the partition demo in their own bodies, so `solve`,
+`oracle`, `reconstruct` and `verify-trace` never load them. The solver,
+trace and perturbation modules stay module-level imports, because the
+benchmark tracer (`benchmarks/tracer.py`) patches the bindings it finds in
+the modules loaded by `import tiebreak.cli`.
 """
 
 from __future__ import annotations
@@ -15,10 +22,8 @@ from typing import Sequence
 
 from .alphabetic import format_tree, hu_tucker, reconstruct_from_depths, tree_cost
 from .alphabetic import brute_force_optimal, dp_optimal_cost
-from .core import format_rational, parse_rational
+from .core import _parse_int, format_rational, parse_rational
 from .errors import CorruptTraceError, FormatError, TiebreakError
-from .harness import _parse_int, parse_config, run_campaign
-from .partition import format_assignment, greedy_partition, partition_value
 from .perturb import NEGATIVE, POSITIVE, dyadic_shadow
 from .trace import dump_trace, load_trace, verify_policy
 
@@ -109,6 +114,8 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
+    from .partition import format_assignment, greedy_partition, partition_value
+
     weights = _load_weights(args.weights)
     # Only the assignment is printed, so the records are dropped as they come.
     assignment, _ = greedy_partition(weights, on_record=lambda record: None)
@@ -118,6 +125,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from .harness import parse_config, run_campaign
+
     config = parse_config(_read(args.config))
     report = run_campaign(config)
     rendered = report.render()

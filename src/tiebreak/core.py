@@ -20,6 +20,10 @@ RationalLike = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 
+#: Decimal integers in config text and depth lists. int() would also take
+#: "1_0", full-width digits and surrounding spaces.
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+
 
 def sign(x: RationalLike) -> int:
     """Sign of an exact scalar: -1, 0, or +1."""
@@ -45,6 +49,16 @@ def parse_rational(token: str) -> Fraction:
     except ValueError:
         # int() refuses strings past sys.get_int_max_str_digits() digits.
         raise FormatError(f"rational has too many digits ({len(token)} characters)") from None
+
+
+def _parse_int(value: str) -> int:
+    if not _INT_RE.match(value):
+        raise FormatError(f"expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except ValueError:
+        # int() refuses strings past sys.get_int_max_str_digits() digits.
+        raise FormatError(f"integer has too many digits ({len(value)} characters)") from None
 
 
 def format_rational(q: RationalLike) -> str:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add, sub
 from typing import Sequence
 
@@ -37,6 +37,8 @@ from .alphabetic import (
 )
 from .core import (
     RationalLike,
+    _INT_RE,
+    _parse_int,
     clear_denominators,
     format_rational,
     parse_rational,
@@ -69,10 +71,6 @@ FAMILY_NAMES = (
 DEGENERATE_FAMILIES = frozenset(FAMILY_NAMES) - {UNIFORM_RANDOM}
 
 _MAX_BLOCKS = 64
-
-#: Decimal integers in config text. int() would also take "1_0", full-width
-#: digits and surrounding spaces.
-_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,13 +171,13 @@ def generate(family: Family, n: int, seed: int | str) -> tuple[Fraction, ...]:
     return tuple(_random_dyadic(rng) for _ in range(n))
 
 
-def _adjacent_sums(values: Sequence[Fraction]) -> list[Fraction]:
+def _adjacent_sums(values: Sequence[int]) -> list[int]:
     return [a + b for a, b in zip(values, values[1:])]
 
 
-def _equal_groups_split(original: Sequence[Fraction], moved: Sequence[Fraction]) -> bool:
+def _equal_groups_split(original: Sequence[int], moved: Sequence[int]) -> bool:
     """True when values equal in `original` became pairwise distinct in `moved`."""
-    groups: dict[Fraction, list[Fraction]] = {}
+    groups: dict[int, list[int]] = {}
     for o, m in zip(original, moved):
         groups.setdefault(o, []).append(m)
     return all(len(set(g)) == len(g) for g in groups.values())
@@ -198,8 +196,16 @@ def leaves_family(
         return None
     if a <= 0:
         raise DomainError(f"perturbation step must be positive, got {format_rational(a)}")
-    vec = [Fraction(x) for x in w]
-    moved = [x + a * e for x, e in zip(vec, s.entries)]
+    # Integers only: w is grouped as scale*w, and w + a*s is taken as
+    # D*(w + a*s), where D is a positive multiple of w's scale, of the
+    # shadow's denominators and of a's. A positive factor keeps every
+    # equality and every zero test.
+    scale, vec = clear_denominators(w)
+    s_scale, at_s = clear_denominators(s.entries)
+    d = lcm(scale, a.denominator * s_scale)
+    w_factor = d // scale
+    s_factor = a.numerator * (d // (a.denominator * s_scale))
+    moved = [x * w_factor + s_factor * e for x, e in zip(vec, at_s)]
     ok = _equal_groups_split(vec, moved)
     if family.name == ZERO_SPRINKLED:
         ok = ok and all(m != 0 for x, m in zip(vec, moved) if x == 0)
@@ -726,16 +732,6 @@ def parse_config(text: str) -> CampaignConfig:
         return CampaignConfig(**kwargs)
     except StructureError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def _parse_int(value: str) -> int:
-    if not _INT_RE.match(value):
-        raise FormatError(f"expected an integer, got {value!r}")
-    try:
-        return int(value)
-    except ValueError:
-        # int() refuses strings past sys.get_int_max_str_digits() digits.
-        raise FormatError(f"integer has too many digits ({len(value)} characters)") from None
 
 
 #: Sampling weight per size bit-length; larger sizes get rarer because an

@@ -297,6 +297,11 @@ def load_trace(text: str, n: int) -> DecisionTrace:
     contradicts itself raises FormatError naming the line.
     """
     records = []
+    # A trace repeats a few coefficient and value texts many times, so each
+    # distinct text is parsed once per call. Only successful parses are kept,
+    # so a bad token raises on the first line that has it.
+    coeff_memo: dict[str, RationalLike] = {}
+    value_memo: dict[str, Fraction] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -317,7 +322,7 @@ def load_trace(text: str, n: int) -> DecisionTrace:
                 line=lineno,
             )
         try:
-            records.append(_record_from_obj(obj))
+            records.append(_record_from_obj(obj, coeff_memo, value_memo))
         except (StructureError, FormatError) as exc:
             raise FormatError(str(exc), line=lineno) from exc
     try:
@@ -326,7 +331,9 @@ def load_trace(text: str, n: int) -> DecisionTrace:
         raise FormatError(str(exc)) from exc
 
 
-def _record_from_obj(obj: dict) -> ComparisonRecord:
+def _record_from_obj(
+    obj: dict, coeff_memo: dict[str, RationalLike], value_memo: dict[str, Fraction]
+) -> ComparisonRecord:
     step = obj["step"]
     if not isinstance(step, int) or isinstance(step, bool):
         raise FormatError(f"step must be an integer, got {step!r}")
@@ -343,13 +350,20 @@ def _record_from_obj(obj: dict) -> ComparisonRecord:
             raise FormatError(f"coefficient index has too many digits ({len(key)})") from None
         if not isinstance(text, str):
             raise FormatError(f"coefficient for index {key} must be rational text")
-        value = parse_rational(text)
-        # Integral coefficients are held as ints so functionals from a file
-        # compare equal, structurally, to freshly built ones.
-        coeffs[index] = value.numerator if value.denominator == 1 else value
-    if not isinstance(obj["value"], str):
+        coeff = coeff_memo.get(text)
+        if coeff is None:
+            parsed = parse_rational(text)
+            # Integral coefficients are held as ints so functionals from a
+            # file compare equal, structurally, to freshly built ones.
+            coeff = parsed.numerator if parsed.denominator == 1 else parsed
+            coeff_memo[text] = coeff
+        coeffs[index] = coeff
+    text = obj["value"]
+    if not isinstance(text, str):
         raise FormatError("value must be rational text")
-    value = parse_rational(obj["value"])
+    value = value_memo.get(text)
+    if value is None:
+        value = value_memo[text] = parse_rational(text)
     tie = obj["tie"]
     if not isinstance(tie, bool):
         raise FormatError(f"tie must be a boolean, got {tie!r}")

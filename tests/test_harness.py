@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,13 @@ from tiebreak.harness import (
     resolve_orientation_binding,
     run_campaign,
 )
-from tiebreak.perturb import CUSTOM, ShadowVector, dyadic_shadow, max_step_in_domain
+from tiebreak.perturb import (
+    CUSTOM,
+    ORIENTATIONS,
+    ShadowVector,
+    dyadic_shadow,
+    max_step_in_domain,
+)
 from tiebreak.trace import LEFT, RIGHT, ComparisonRecord, DecisionTrace, stability_witness
 
 
@@ -119,6 +126,54 @@ def test_leaves_family_contract() -> None:
     # A shadow with repeated entries cannot separate equal weights.
     flat = ShadowVector((Fraction(1), Fraction(1)), CUSTOM)
     assert leaves_family(Family(ALL_EQUAL), (1, 1), flat, Fraction(1)) is False
+
+
+def _leaves_family_in_fractions(family, w, s, a):
+    """`leaves_family` in Fraction arithmetic, as it was first written."""
+    if family.name == UNIFORM_RANDOM:
+        return None
+
+    def split(original, moved):
+        groups = {}
+        for o, m in zip(original, moved):
+            groups.setdefault(o, []).append(m)
+        return all(len(set(g)) == len(g) for g in groups.values())
+
+    def sums(values):
+        return [x + y for x, y in zip(values, values[1:])]
+
+    vec = [Fraction(x) for x in w]
+    moved = [x + a * e for x, e in zip(vec, s.entries)]
+    ok = split(vec, moved)
+    if family.name == ZERO_SPRINKLED:
+        ok = ok and all(m != 0 for x, m in zip(vec, moved) if x == 0)
+    if family.name == PAIR_SUM_TIES:
+        ok = ok and split(sums(vec), sums(moved))
+    return ok
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_leaves_family_agrees_with_fraction_arithmetic(name: str) -> None:
+    family = Family(name)
+    rng = random.Random(f"leaves-{name}")
+    outcomes = set()
+    for n in range(1, 25):
+        w = generate(family, n, "leaves")
+        shadows = [dyadic_shadow(n, orientation) for orientation in ORIENTATIONS]
+        # Fractional entries with repeats and zeros, so that some steps keep
+        # an equality and the check must answer False.
+        entries = (Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 6))) for _ in range(n))
+        shadows.append(ShadowVector(tuple(entries), CUSTOM))
+        for s in shadows:
+            steps = {Fraction(1), Fraction(1, 3), Fraction(rng.randint(1, 9), rng.randint(1, 9))}
+            if s.orientation != CUSTOM:
+                _, trace = hu_tucker_phase1(w, s)
+                steps.add(stability_witness(trace, w, s))
+            for a in steps:
+                got = leaves_family(family, w, s, a)
+                assert got == _leaves_family_in_fractions(family, w, s, a), (n, s, a)
+                outcomes.add(got)
+    assert outcomes == ({None} if name == UNIFORM_RANDOM else {True, False})
 
 
 # -- single-instance certification ------------------------------------------

@@ -16,6 +16,7 @@ from tiebreak.errors import (
     PolicyMismatchError,
     StructureError,
 )
+from tiebreak.harness import FAMILY_NAMES, Family, generate
 from tiebreak.perturb import NEGATIVE, POSITIVE, dyadic_shadow
 from tiebreak.trace import (
     LEFT,
@@ -128,6 +129,64 @@ def test_dump_load_roundtrip_for_solver_traces() -> None:
         again = load_trace(dump_trace(trace), trace.n)
         assert again.records == trace.records
         assert again.n == trace.n
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_dump_load_dump_is_byte_identical(name: str) -> None:
+    for n in range(1, 41):
+        w = generate(Family(name), n, "reload")
+        for policy in (LEFTMOST, RIGHTMOST):
+            _, _, _, trace = _solve(w, policy)
+            text = dump_trace(trace)
+            again = load_trace(text, n)
+            assert dump_trace(again) == text
+            assert again.records == trace.records
+
+
+def _line(step: int, coeff: str, value: str = "1") -> str:
+    return (
+        f'{{"step": {step}, "coeffs": {{"1": "{coeff}", "2": "-1"}}, '
+        f'"value": "{value}", "tie": false, "branch": "R"}}'
+    )
+
+
+def test_load_reads_every_spelling_of_an_integral_coefficient_as_an_int() -> None:
+    tokens = ["1", "+1", "01", "2/2", "1", "2/2"]
+    trace = load_trace("\n".join(_line(k, t) for k, t in enumerate(tokens, start=1)), 2)
+    fresh = LinearFunctional({1: 1, 2: -1})
+    for record in trace.records:
+        assert record.functional == fresh
+        assert hash(record.functional) == hash(fresh)
+        assert [type(c) for _, c in record.functional] == [int, int]
+        assert record.primary_value == 1 and type(record.primary_value) is Fraction
+
+
+def test_load_keeps_fractional_coefficients_as_fractions() -> None:
+    trace = load_trace("\n".join(_line(k, "3/2", "1/2") for k in (1, 2)), 2)
+    for record in trace.records:
+        ((_, coeff), _) = record.functional
+        assert type(coeff) is Fraction and coeff == Fraction(3, 2)
+        assert record.primary_value == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (_line(2, "1.5"), "malformed rational"),
+        (_line(2, "1", "1.5"), "malformed rational"),
+        (_line(2, "1/0"), "zero denominator"),
+        (_line(2, "1" * 5000), "too many digits"),
+        (_line(2, "1", "1" * 5000), "too many digits"),
+    ],
+    ids=["coeff", "value", "zero-denominator", "long-coeff", "long-value"],
+)
+def test_load_names_the_first_line_with_a_bad_token(second: str, message: str) -> None:
+    # Line 1 fills the per-load token memo; the bad token on lines 2 and 3
+    # must raise, naming line 2.
+    bad = second.replace('"step": 2', '"step": 3')
+    with pytest.raises(FormatError, match="line 2") as err:
+        load_trace("\n".join([_line(1, "1"), second, bad]), 2)
+    assert message in str(err.value)
 
 
 def test_dump_of_an_empty_trace_is_empty() -> None:
