@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import pytest
@@ -259,6 +260,79 @@ def test_brute_force_matches_tree_enumeration(n: int) -> None:
     vectors += [_random_vector(rng, n) for _ in range(4)]
     for w in vectors:
         assert brute_force_optimal(w) == _enumerated_optimum(w), w
+
+
+def _listed_optimum(w: Sequence[Fraction]) -> tuple[Fraction, int]:
+    """Reference: one list entry per ordered tree over each interval.
+
+    Each split's left and right cost lists combine pairwise as cost(L) +
+    cost(R) + W(interval); the minimum and its count come from the full
+    interval's list.
+    """
+    n = len(w)
+    scale = math.lcm(*(x.denominator for x in w))
+    prefix = [0, *accumulate(int(x * scale) for x in w)]
+    costs = [[[0]] * n for _ in range(n)]
+    for span in range(2, n + 1):
+        for i in range(n - span + 1):
+            j = i + span - 1
+            weight = prefix[j + 1] - prefix[i]
+            trees: list[int] = []
+            for k in range(i, j):
+                right = [c + weight for c in costs[k + 1][j]]
+                trees += [c + r for c in costs[i][k] for r in right]
+            costs[i][j] = trees
+    trees = costs[0][n - 1]
+    best = min(trees)
+    return Fraction(best, scale), trees.count(best)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_brute_force_matches_the_listed_reference_per_family(family: str) -> None:
+    for n in range(1, 12):
+        for seed in ("listed-a", "listed-b"):
+            w = generate(Family(family), n, seed)
+            assert brute_force_optimal(w) == _listed_optimum(w), (family, n, seed)
+
+
+def test_brute_force_matches_the_listed_reference_on_zero_heavy_and_fractional_vectors() -> None:
+    rng = random.Random("brute-listed")
+    for _ in range(60):
+        n = rng.randint(1, 11)
+        zero_heavy = tuple(
+            Fraction(rng.choice((0, 0, 0, 0, 1, 2, 5)), rng.choice((1, 3))) for _ in range(n)
+        )
+        fractional = tuple(Fraction(rng.randint(0, 30), rng.randint(1, 12)) for _ in range(n))
+        for w in (zero_heavy, fractional):
+            assert brute_force_optimal(w) == _listed_optimum(w), w
+    assert brute_force_optimal((Fraction(0),) * 11) == (0, 16796)
+
+
+def _fraction_sum_cost(tree, w: Sequence[Fraction]) -> Fraction:
+    """Reference: one Fraction product per leaf, summed in Fraction arithmetic."""
+    return sum((Fraction(wi) * d for wi, d in zip(w, tree_depths(tree))), Fraction(0))
+
+
+def test_tree_cost_matches_the_fraction_sum_reference() -> None:
+    rng = random.Random("tree-cost")
+    vectors = [
+        generate(Family(family), n, "tree-cost") for family in FAMILY_NAMES for n in (1, 5, 7)
+    ]
+    vectors += [
+        tuple(Fraction(rng.choice((0, 0, 1, 3, 7)), rng.choice((1, 2, 3, 10))) for _ in range(7))
+        for _ in range(6)
+    ]
+    vectors += [(0, 1, Fraction(2, 3)), (Fraction(1, 6), Fraction(1, 10), Fraction(1, 15))]
+    for w in vectors:
+        for tree in enumerate_trees(len(w)):
+            cost = tree_cost(tree, w)
+            assert type(cost) is Fraction
+            assert cost == _fraction_sum_cost(tree, w), (tree, w)
+    for family in FAMILY_NAMES:
+        w = generate(Family(family), 60, "tree-cost")
+        for policy in (LEFTMOST, RIGHTMOST):
+            tree, _ = hu_tucker(w, policy)
+            assert tree_cost(tree, w) == _fraction_sum_cost(tree, w) == dp_optimal_cost(w)
 
 
 # -- solver -----------------------------------------------------------------

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import pytest
 
 from tiebreak.errors import CapacityError, DomainError, FormatError, StructureError
-from tiebreak.harness import Family, generate
+from tiebreak.harness import FAMILY_NAMES, Family, generate
 from tiebreak.partition import (
     BRUTE_FORCE_CAP,
     brute_force_partition,
@@ -53,6 +56,40 @@ def test_brute_force_frozen_values() -> None:
     assert brute_force_partition((Fraction(5),)) == 5
     with pytest.raises(CapacityError):
         brute_force_partition([1] * (BRUTE_FORCE_CAP + 1))
+
+
+def _every_assignment_optimum(w) -> Fraction:
+    """Reference: the value of each of the 2^n assignments, over one scale."""
+    scale = math.lcm(*(Fraction(x).denominator for x in w))
+    scaled = [int(Fraction(x) * scale) for x in w]
+    best = min(abs(sum(map(mul, signs, scaled))) for signs in product((1, -1), repeat=len(w)))
+    return Fraction(best, scale)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_brute_force_matches_every_assignment_per_family(family: str) -> None:
+    for n in range(1, 13):
+        w = generate(Family(family), n, "partition-assignments")
+        assert brute_force_partition(w) == _every_assignment_optimum(w), (family, n)
+
+
+def test_brute_force_matches_every_assignment_on_zeros_and_fractions() -> None:
+    rng = random.Random("partition-assignments")
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        zeros = tuple(
+            Fraction(rng.choice((0, 0, 0, 1, 2, 5)), rng.choice((1, 3))) for _ in range(n)
+        )
+        fractions = tuple(Fraction(rng.randint(0, 30), rng.randint(1, 12)) for _ in range(n))
+        for w in (zeros, fractions):
+            assert brute_force_partition(w) == _every_assignment_optimum(w), w
+    assert brute_force_partition((0,) * 12) == 0
+
+
+@pytest.mark.parametrize("family", ["all-equal", "uniform-random"])
+def test_brute_force_matches_every_assignment_at_the_cap(family: str) -> None:
+    w = generate(Family(family), BRUTE_FORCE_CAP, "partition-cap")
+    assert brute_force_partition(w) == _every_assignment_optimum(w)
 
 
 def test_greedy_frozen_instance() -> None:

@@ -134,3 +134,23 @@ loaded()
         assert "tiebreak.cli" in loaded and "tiebreak.trace" in loaded
         assert "tiebreak.harness" not in loaded
         assert "tiebreak.partition" not in loaded
+
+
+def _names_used(code) -> set[str]:
+    """Global and attribute names a code object and its nested code objects load."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names_used(const)
+    return names
+
+
+@pytest.mark.parametrize(
+    "oracle", [tiebreak.alphabetic.brute_force_optimal, tiebreak.partition.brute_force_partition]
+)
+def test_exhaustive_oracles_share_no_step_with_what_they_check(oracle) -> None:
+    # An oracle that called the DP, the greedy or the combine loop would
+    # agree with them by construction.
+    used = _names_used(oracle.__code__)
+    assert "clear_denominators" in used
+    assert used.isdisjoint({"dp_optimal_cost", "greedy_partition", "phase1_depths"})
