@@ -27,14 +27,12 @@ _EXPORTS = {
         "format_tree",
         "hu_tucker",
         "hu_tucker_phase1",
-        "mirror_tree",
-        "parse_tree",
         "phase1_explicit_shadow",
         "reconstruct_from_depths",
         "tree_cost",
         "tree_depths",
     ),
-    "core": ("LinearFunctional", "as_weights", "format_rational", "parse_rational", "sign"),
+    "core": ("LinearFunctional", "format_rational", "parse_rational", "sign"),
     "errors": (
         "CapacityError",
         "CorruptTraceError",
@@ -59,7 +57,6 @@ _EXPORTS = {
         "brute_force_partition",
         "format_assignment",
         "greedy_partition",
-        "parse_assignment",
         "partition_value",
     ),
     "perturb": (
@@ -83,6 +80,8 @@ _EXPORTS = {
 #: Home module of every exported name.
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = sorted(_HOME)
+
 _SUBMODULES = frozenset((*_EXPORTS, "cli"))
 
 
@@ -100,62 +99,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_HOME, *_SUBMODULES})
-
-
-__all__ = [
-    "CampaignConfig",
-    "CampaignReport",
-    "CapacityError",
-    "ComparisonRecord",
-    "CorruptTraceError",
-    "DecisionTrace",
-    "DomainError",
-    "Family",
-    "FormatError",
-    "LEFTMOST",
-    "LinearFunctional",
-    "NEGATIVE",
-    "ORIENTATIONS",
-    "POLICIES",
-    "POLICY_ORIENTATION",
-    "POSITIVE",
-    "PolicyMismatchError",
-    "RIGHTMOST",
-    "ShadowVector",
-    "StructureError",
-    "TiebreakError",
-    "Tree",
-    "as_weights",
-    "brute_force_optimal",
-    "brute_force_partition",
-    "check_instance",
-    "check_lipschitz",
-    "dp_optimal_cost",
-    "dump_trace",
-    "dyadic_shadow",
-    "enumerate_trees",
-    "format_assignment",
-    "format_rational",
-    "format_tree",
-    "generate",
-    "greedy_partition",
-    "hu_tucker",
-    "hu_tucker_phase1",
-    "load_trace",
-    "max_step_in_domain",
-    "mirror_tree",
-    "parse_assignment",
-    "parse_config",
-    "parse_rational",
-    "parse_tree",
-    "partition_value",
-    "phase1_explicit_shadow",
-    "reconstruct_from_depths",
-    "resolve_orientation_binding",
-    "run_campaign",
-    "sign",
-    "stability_witness",
-    "tree_cost",
-    "tree_depths",
-    "verify_policy",
-]

@@ -49,7 +49,6 @@ for zero-sprinkled and random vectors, where listing the costs of all
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul, sub
@@ -60,8 +59,8 @@ from .core import (
     clear_denominators,
     require_nonnegative_weights,
 )
-from .errors import CapacityError, DomainError, FormatError, StructureError
-from .perturb import NEGATIVE, POSITIVE, ShadowVector, dyadic_shadow
+from .errors import CapacityError, DomainError, StructureError
+from .perturb import NEGATIVE, POSITIVE, ShadowVector, check_shadow_length, dyadic_shadow
 from .trace import DecisionTrace, RecordSink, recorder
 
 #: A tree is a 1-based leaf index or a (left, right) pair of trees.
@@ -140,96 +139,12 @@ def tree_cost(tree: Tree, w: Sequence[RationalLike]) -> Fraction:
     return Fraction(sum(map(mul, scaled, depths)), scale)
 
 
-def mirror_tree(tree: Tree, n: int) -> Tree:
-    """Reverse left-right: children swap and leaf i becomes n + 1 - i."""
-    if isinstance(tree, int):
-        return n + 1 - tree
-    left, right = tree
-    return (mirror_tree(right, n), mirror_tree(left, n))
-
-
 def format_tree(tree: Tree) -> str:
     """Render as leaf names and parenthesized pairs: ((b1 b2) b3)."""
     if isinstance(tree, int):
         return f"b{tree}"
     left, right = tree
     return f"({format_tree(left)} {format_tree(right)})"
-
-
-_TREE_TOKEN = re.compile(r"\(|\)|b[0-9]+")
-
-
-def parse_tree(text: str) -> Tree:
-    """Parse the parenthesized tree format; column numbers on errors."""
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TREE_TOKEN.match(text, pos)
-        if m is None:
-            raise FormatError(f"unexpected character {ch!r}", line=1, column=pos + 1)
-        tokens.append((m.group(), pos + 1))
-        pos = m.end()
-    if not tokens:
-        raise FormatError("empty tree text")
-
-    index = 0
-
-    def parse_node() -> Tree:
-        nonlocal index
-        if index >= len(tokens):
-            raise FormatError("unexpected end of tree text", line=1, column=len(text) + 1)
-        token, col = tokens[index]
-        index += 1
-        if token == "(":
-            left = parse_node()
-            right = parse_node()
-            if index >= len(tokens) or tokens[index][0] != ")":
-                raise FormatError(
-                    "expected ')'",
-                    line=1,
-                    column=tokens[index][1] if index < len(tokens) else len(text) + 1,
-                )
-            index += 1
-            return (left, right)
-        if token == ")":
-            raise FormatError("unexpected ')'", line=1, column=col)
-        try:
-            leaf = int(token[1:])
-        except ValueError:
-            raise FormatError("leaf index has too many digits", line=1, column=col) from None
-        if leaf < 1:
-            raise FormatError(f"leaf index must be >= 1, got {token}", line=1, column=col)
-        return leaf
-
-    tree = parse_node()
-    if index != len(tokens):
-        raise FormatError("trailing tokens after tree", line=1, column=tokens[index][1])
-    return tree
-
-
-def tree_to_obj(tree: Tree) -> dict:
-    """Nested-object form for machine use: {"leaf": i} or {"left",...,"right",...}."""
-    if isinstance(tree, int):
-        return {"leaf": tree}
-    left, right = tree
-    return {"left": tree_to_obj(left), "right": tree_to_obj(right)}
-
-
-def tree_from_obj(obj: dict) -> Tree:
-    if not isinstance(obj, dict):
-        raise FormatError(f"tree node must be an object, got {type(obj).__name__}")
-    if set(obj) == {"leaf"}:
-        leaf = obj["leaf"]
-        if not isinstance(leaf, int) or isinstance(leaf, bool) or leaf < 1:
-            raise FormatError(f"leaf must be a positive integer, got {leaf!r}")
-        return leaf
-    if set(obj) == {"left", "right"}:
-        return (tree_from_obj(obj["left"]), tree_from_obj(obj["right"]))
-    raise FormatError(f"tree node keys must be ['leaf'] or ['left', 'right'], got {sorted(obj)}")
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +390,6 @@ def phase1_depths(
     return tuple(depths[i] for i in range(1, n + 1))
 
 
-def _check_shadow(n: int, s: ShadowVector) -> None:
-    if len(s.entries) != n:
-        raise StructureError(f"instance has {n} weights but shadow has {len(s.entries)}")
-
-
 def hu_tucker_phase1(
     w: Sequence[RationalLike],
     s: ShadowVector,
@@ -495,17 +405,15 @@ def hu_tucker_phase1(
     """
     vec = require_nonnegative_weights(w)
     n = len(vec)
-    _check_shadow(n, s)
+    check_shadow_length(n, s)
     scale, scaled = clear_denominators(vec)
     decide, finish = recorder(n, scale, s.entries, on_record)
     return phase1_depths(scaled, add, sub, decide), finish()
 
 
 def phase1_explicit_shadow(
-    w: Sequence[RationalLike],
-    s: ShadowVector,
-    on_record: RecordSink | None = None,
-) -> tuple[tuple[int, ...], DecisionTrace | None]:
+    w: Sequence[RationalLike], s: ShadowVector
+) -> tuple[tuple[int, ...], DecisionTrace]:
     """Combine phase over two-component weights (w_i, s_i), no tie policy.
 
     Every comparison is the lexicographic sign of the componentwise
@@ -517,9 +425,9 @@ def phase1_explicit_shadow(
     """
     vec = require_nonnegative_weights(w)
     n = len(vec)
-    _check_shadow(n, s)
+    check_shadow_length(n, s)
     scale, scaled = clear_denominators(vec)
-    decide, finish = recorder(n, scale, s.entries, on_record)
+    decide, finish = recorder(n, scale, s.entries)
     depths = phase1_depths(
         list(zip(scaled, s.entries)),
         lambda a, b: (a[0] + b[0], a[1] + b[1]),

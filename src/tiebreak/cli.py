@@ -62,10 +62,11 @@ def _load_weights(path: str) -> tuple[Fraction, ...]:
 
 
 def _parse_depths(text: str) -> tuple[int, ...]:
-    depths = [_parse_int(token) for token in text.replace(",", " ").split()]
-    if not depths:
-        raise FormatError("empty depth sequence")
-    return tuple(depths)
+    """Depths separated by commas, whitespace or both; no field may be empty."""
+    fields = [field.split() for field in text.split(",")]
+    if not all(fields):
+        raise FormatError(f"depth sequence {text!r} is empty or has an empty field")
+    return tuple(_parse_int(token) for field in fields for token in field)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

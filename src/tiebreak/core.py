@@ -77,21 +77,11 @@ def format_rational(q: RationalLike) -> str:
         raise FormatError("rational has too many digits to print") from None
 
 
-def as_weights(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """Coerce a sequence of exact numbers into a weight vector (1-based users).
-
-    Length must be at least 1. Entries are not sign-checked here; solvers
-    impose nonnegativity at their own boundary.
-    """
+def require_nonnegative_weights(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    """Coerce exact numbers into a weight vector of at least one nonnegative entry."""
     w = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
     if not w:
         raise StructureError("weight vector must have at least one entry")
-    return w
-
-
-def require_nonnegative_weights(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """`as_weights` plus the nonnegativity check the optimizers need."""
-    w = as_weights(values)
     for i, x in enumerate(w, start=1):
         if x < 0:
             raise DomainError(f"weight {i} is negative: {format_rational(x)}")
@@ -143,47 +133,17 @@ class LinearFunctional(tuple):
     # constructor costs more than the comparison loops it sits in can afford.
     _trusted = classmethod(tuple.__new__)
 
-    @property
-    def coeffs(self) -> dict[int, RationalLike]:
-        return dict(self)
-
     def items(self) -> tuple[tuple[int, RationalLike], ...]:
-        """Nonzero (index, coefficient) pairs in increasing index order."""
-        return tuple(self)
+        """Nonzero (index, coefficient) pairs in increasing index order.
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self)
+        The package reads the tuple directly; `benchmarks/tracer.py` counts
+        each record's support through this method.
+        """
+        return tuple(self)
 
     def max_index(self) -> int:
         """Largest referenced index; 0 for the zero functional."""
         return self[-1][0] if self else 0
-
-    def leading(self) -> tuple[int, RationalLike] | None:
-        """Lowest-index nonzero term, or None for the zero functional."""
-        return self[0] if self else None
-
-    def is_zero(self) -> bool:
-        return not self
-
-    def is_unit_form(self) -> bool:
-        """True when every coefficient is -1 or +1 and the support is nonempty.
-
-        This is the shape every solver in this package emits: a difference of
-        two disjoint index sets.
-        """
-        return bool(self) and all(c == 1 or c == -1 for _, c in self)
-
-    def evaluate(self, values: Sequence[RationalLike]) -> RationalLike:
-        """Exact dot product against `values` (values[0] is index 1)."""
-        n = len(values)
-        if self and self[-1][0] > n:
-            raise StructureError(
-                f"functional references index {self[-1][0]} but vector has length {n}"
-            )
-        total = 0
-        for index, coeff in self:
-            total += coeff * values[index - 1]
-        return total
 
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {format_rational(c)}" for i, c in self)

@@ -45,7 +45,14 @@ from .core import (
     require_nonnegative_weights,
 )
 from .errors import DomainError, FormatError, PolicyMismatchError, StructureError
-from .perturb import NEGATIVE, POSITIVE, ShadowVector, dyadic_shadow, max_step_in_domain
+from .perturb import (
+    NEGATIVE,
+    POSITIVE,
+    ShadowVector,
+    check_shadow_length,
+    dyadic_shadow,
+    max_step_in_domain,
+)
 from .trace import DecisionTrace, stability_witness
 
 #: Brute-force cross-checks stop here; the DP oracle carries on alone above.
@@ -191,7 +198,9 @@ def leaves_family(
     None for uniform-random, which has no defining equalities. The dyadic
     shadow has pairwise distinct entries (and pairwise distinct adjacent
     sums), so any a > 0 should separate whatever the generator made equal.
+    A shadow of another length than w raises StructureError.
     """
+    check_shadow_length(len(w), s)
     if family.name == UNIFORM_RANDOM:
         return None
     if a <= 0:

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import RationalLike, clear_denominators, require_nonnegative_weights
-from .errors import CapacityError, FormatError, StructureError
-from .perturb import ShadowVector, dyadic_shadow
+from .errors import CapacityError, StructureError
+from .perturb import ShadowVector, check_shadow_length, dyadic_shadow
 from .trace import DecisionTrace, RecordSink, recorder
 
 BRUTE_FORCE_CAP = 16
@@ -25,18 +25,6 @@ Assignment = tuple[int, ...]
 
 def format_assignment(assignment: Assignment) -> str:
     return "".join(str(side) for side in assignment)
-
-
-def parse_assignment(text: str) -> Assignment:
-    """Parse a string over {1, 2}; one character per index."""
-    if not text:
-        raise FormatError("assignment must have at least one entry")
-    sides = []
-    for col, ch in enumerate(text, start=1):
-        if ch not in "12":
-            raise FormatError(f"assignment characters must be 1 or 2, got {ch!r}", line=1, column=col)
-        sides.append(int(ch))
-    return tuple(sides)
 
 
 def partition_value(assignment: Assignment, w: Sequence[RationalLike]) -> Fraction:
@@ -97,8 +85,7 @@ def greedy_partition(
     n = len(vec)
     if s is None:
         s = dyadic_shadow(n)
-    if len(s.entries) != n:
-        raise StructureError(f"instance has {n} weights but shadow has {len(s.entries)}")
+    check_shadow_length(n, s)
     scale, scaled = clear_denominators(vec)
     decide, finish = recorder(n, scale, s.entries, on_record)
 

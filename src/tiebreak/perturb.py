@@ -13,28 +13,29 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import RationalLike
-from .errors import DomainError
+from .errors import DomainError, StructureError
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
-CUSTOM = "custom"
 
 ORIENTATIONS = (POSITIVE, NEGATIVE)
 
 
 @dataclass(frozen=True, slots=True)
 class ShadowVector:
-    """A direction used to resolve exact ties, tagged with its orientation."""
+    """A direction used to resolve exact ties: entry i perturbs weight i."""
 
     entries: tuple[RationalLike, ...]
-    orientation: str = CUSTOM
 
     def __post_init__(self):
         if not self.entries:
             raise DomainError("shadow vector must have at least one entry")
 
-    def __len__(self) -> int:
-        return len(self.entries)
+
+def check_shadow_length(n: int, s: ShadowVector) -> None:
+    """Raise StructureError unless `s` has one entry for each of n weights."""
+    if len(s.entries) != n:
+        raise StructureError(f"instance has {n} weights but shadow has {len(s.entries)}")
 
 
 def dyadic_shadow(n: int, orientation: str = POSITIVE) -> ShadowVector:
@@ -49,7 +50,7 @@ def dyadic_shadow(n: int, orientation: str = POSITIVE) -> ShadowVector:
     if orientation not in ORIENTATIONS:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
     scale = 1 if orientation == POSITIVE else -1
-    return ShadowVector(tuple(scale * (1 << (n + 1 - i)) for i in range(1, n + 1)), orientation)
+    return ShadowVector(tuple(scale * (1 << (n + 1 - i)) for i in range(1, n + 1)))
 
 
 def max_step_in_domain(w: Sequence[RationalLike], s: ShadowVector) -> Fraction | None:
@@ -57,8 +58,9 @@ def max_step_in_domain(w: Sequence[RationalLike], s: ShadowVector) -> Fraction |
 
     Returns None when unbounded (no negative shadow entry pushes a weight
     down), and 0 when any boundary entry (weight 0) moves negative
-    immediately.
+    immediately. A shadow of another length than w raises StructureError.
     """
+    check_shadow_length(len(w), s)
     limit: Fraction | None = None
     for wi, si in zip(w, s.entries):
         if si < 0:

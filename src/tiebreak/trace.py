@@ -30,7 +30,7 @@ from .core import (
     sign,
 )
 from .errors import CorruptTraceError, DomainError, FormatError, PolicyMismatchError, StructureError
-from .perturb import ShadowVector
+from .perturb import ShadowVector, check_shadow_length
 
 LEFT = "L"
 RIGHT = "R"
@@ -132,9 +132,6 @@ class DecisionTrace:
                 )
             expected += 1
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 @dataclass(slots=True)
 class RecordCheck:
@@ -168,8 +165,7 @@ def _audit(
     """
     if len(w) != trace.n:
         raise StructureError(f"trace is over {trace.n} weights but instance has {len(w)}")
-    if len(s.entries) != trace.n:
-        raise StructureError(f"trace is over {trace.n} weights but shadow has {len(s.entries)}")
+    check_shadow_length(trace.n, s)
     scale, scaled = clear_denominators(w)
     # Index 0 is padding, so that 1-based indices need no shift.
     at_w = [0, *scaled]

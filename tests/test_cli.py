@@ -101,7 +101,16 @@ def test_reconstruct_round_trip_and_infeasible(capsys) -> None:
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("depths", ["\u0661,\u0661", "1_0,1", "\uff12,\uff12"])
+@pytest.mark.parametrize("depths", ["2, 2, 1", "2 2 1", " 2 ,2\t1 "])
+def test_reconstruct_separates_depths_by_commas_or_whitespace(depths, capsys) -> None:
+    assert main(["reconstruct", "--depths", depths]) == 0
+    assert capsys.readouterr().out == "((b1 b2) b3)\n"
+
+
+@pytest.mark.parametrize(
+    "depths",
+    ["\u0661,\u0661", "1_0,1", "\uff12,\uff12", "1,,1", ",1 1,", "2,2,1,", "1, ,1"],
+)
 def test_reconstruct_takes_only_ascii_decimal_depths(depths, capsys) -> None:
     assert main(["reconstruct", "--depths", depths]) == 2
     captured = capsys.readouterr()

@@ -41,7 +41,6 @@ from tiebreak.harness import (
     run_campaign,
 )
 from tiebreak.perturb import (
-    CUSTOM,
     ORIENTATIONS,
     ShadowVector,
     dyadic_shadow,
@@ -124,7 +123,7 @@ def test_leaves_family_contract() -> None:
     with pytest.raises(DomainError, match="positive"):
         leaves_family(Family(ALL_EQUAL), w, s, Fraction(0))
     # A shadow with repeated entries cannot separate equal weights.
-    flat = ShadowVector((Fraction(1), Fraction(1)), CUSTOM)
+    flat = ShadowVector((Fraction(1), Fraction(1)))
     assert leaves_family(Family(ALL_EQUAL), (1, 1), flat, Fraction(1)) is False
 
 
@@ -159,14 +158,14 @@ def test_leaves_family_agrees_with_fraction_arithmetic(name: str) -> None:
     outcomes = set()
     for n in range(1, 25):
         w = generate(family, n, "leaves")
-        shadows = [dyadic_shadow(n, orientation) for orientation in ORIENTATIONS]
+        shadows = [(dyadic_shadow(n, orientation), True) for orientation in ORIENTATIONS]
         # Fractional entries with repeats and zeros, so that some steps keep
         # an equality and the check must answer False.
         entries = (Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 6))) for _ in range(n))
-        shadows.append(ShadowVector(tuple(entries), CUSTOM))
-        for s in shadows:
+        shadows.append((ShadowVector(tuple(entries)), False))
+        for s, dyadic in shadows:
             steps = {Fraction(1), Fraction(1, 3), Fraction(rng.randint(1, 9), rng.randint(1, 9))}
-            if s.orientation != CUSTOM:
+            if dyadic:
                 _, trace = hu_tucker_phase1(w, s)
                 steps.add(stability_witness(trace, w, s))
             for a in steps:
@@ -365,7 +364,7 @@ def test_perturbed_replay_fails_where_the_path_ties(policy: str) -> None:
     s, depths, trace = _solve(w, policy)
     roots = []
     for r in trace.records:
-        drift = r.functional.evaluate(s.entries)
+        drift = sum(c * s.entries[i - 1] for i, c in r.functional)
         if r.primary_value * drift < 0:
             roots.append((-r.primary_value / drift, r.realized_sign))
     first, tied_sign = min(roots)

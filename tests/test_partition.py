@@ -11,14 +11,13 @@ from operator import mul
 
 import pytest
 
-from tiebreak.errors import CapacityError, DomainError, FormatError, StructureError
+from tiebreak.errors import CapacityError, DomainError, StructureError
 from tiebreak.harness import FAMILY_NAMES, Family, generate
 from tiebreak.partition import (
     BRUTE_FORCE_CAP,
     brute_force_partition,
     format_assignment,
     greedy_partition,
-    parse_assignment,
     partition_value,
 )
 from tiebreak.perturb import NEGATIVE, POSITIVE, ShadowVector, dyadic_shadow
@@ -27,16 +26,6 @@ from tiebreak.trace import dump_trace, stability_witness, verify_policy
 
 def test_assignment_text_roundtrip() -> None:
     assert format_assignment((1, 2, 2, 1)) == "1221"
-    assert parse_assignment("1221") == (1, 2, 2, 1)
-
-
-def test_parse_assignment_rejects_bad_characters() -> None:
-    with pytest.raises(FormatError, match="column 3"):
-        parse_assignment("1231")
-    with pytest.raises(FormatError, match="column 1"):
-        parse_assignment(" 1221")
-    with pytest.raises(FormatError):
-        parse_assignment("")
 
 
 def test_partition_value_is_absolute_difference() -> None:

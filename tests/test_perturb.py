@@ -7,15 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from tiebreak.errors import DomainError
-from tiebreak.perturb import CUSTOM, NEGATIVE, POSITIVE, ShadowVector, dyadic_shadow, max_step_in_domain
+from tiebreak.alphabetic import hu_tucker_phase1, phase1_explicit_shadow
+from tiebreak.errors import DomainError, StructureError
+from tiebreak.harness import ALL_EQUAL, Family, leaves_family
+from tiebreak.partition import greedy_partition
+from tiebreak.perturb import NEGATIVE, ShadowVector, dyadic_shadow, max_step_in_domain
+from tiebreak.trace import DecisionTrace, stability_witness, verify_policy
 
 
 def test_dyadic_shadow_entries() -> None:
     assert dyadic_shadow(3).entries == (8, 4, 2)
     assert dyadic_shadow(3, NEGATIVE).entries == (-8, -4, -2)
     assert dyadic_shadow(1).entries == (2,)
-    assert dyadic_shadow(3).orientation == POSITIVE
+    assert dyadic_shadow(3) == ShadowVector((8, 4, 2))
 
 
 def test_dyadic_entries_dominate_their_tail() -> None:
@@ -37,7 +41,6 @@ def test_dyadic_shadow_rejects_bad_arguments() -> None:
 def test_shadow_vector_must_be_nonempty() -> None:
     with pytest.raises(DomainError):
         ShadowVector(())
-    assert ShadowVector((1, 2)).orientation == CUSTOM
 
 
 def test_max_step_in_domain() -> None:
@@ -59,3 +62,34 @@ def test_max_step_keeps_the_vector_nonnegative() -> None:
         assert all(wi + cap * si >= 0 for wi, si in zip(w, s.entries))
         past = cap + Fraction(1, 997)
         assert any(wi + past * si < 0 for wi, si in zip(w, s.entries))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda w, s: hu_tucker_phase1(w, s),
+        lambda w, s: phase1_explicit_shadow(w, s),
+        lambda w, s: greedy_partition(w, s),
+        lambda w, s: verify_policy(DecisionTrace(n=len(w), records=()), w, s),
+        lambda w, s: stability_witness(DecisionTrace(n=len(w), records=()), w, s),
+        lambda w, s: max_step_in_domain(w, s),
+        lambda w, s: leaves_family(Family(ALL_EQUAL), w, s, Fraction(1, 100)),
+    ],
+    ids=[
+        "hu_tucker_phase1",
+        "phase1_explicit_shadow",
+        "greedy_partition",
+        "verify_policy",
+        "stability_witness",
+        "max_step_in_domain",
+        "leaves_family",
+    ],
+)
+def test_every_entry_point_rejects_a_shadow_of_another_length(run) -> None:
+    # Zipping weights with a short shadow would silently drop the extra
+    # weights: max_step_in_domain((1, 2, 3), (-1,)) used to answer 1.
+    w = (Fraction(1), Fraction(2), Fraction(3))
+    with pytest.raises(StructureError, match="instance has 3 weights but shadow has 1"):
+        run(w, ShadowVector((-1,)))
+    with pytest.raises(StructureError, match="instance has 3 weights but shadow has 2"):
+        run(w, ShadowVector((-8, -4)))
