@@ -10,11 +10,18 @@ the campaign harness and the partition demo in their own bodies, so `solve`,
 trace and perturbation modules stay module-level imports, because the
 benchmark tracer (`benchmarks/tracer.py`) patches the bindings it finds in
 the modules loaded by `import tiebreak.cli`.
+
+Output files (`solve --emit-trace`, `fuzz --out`) are written by one
+writer, `_write_over`, which writes over an existing file in place instead
+of truncating it first: a truncated file whose blocks are already on disk
+makes the write wait for them to be freed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -57,6 +64,20 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _write_over(path: str, text: str) -> None:
+    """Write `text` to `path` from offset 0, then cut off a longer old tail.
+
+    The file is created if absent and otherwise keeps its mode. Only a
+    regular file is truncated: `/dev/null`, a pipe or a FIFO refuse it.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        old = os.fstat(fh.fileno())
+        fh.write(data)
+        if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
+            fh.truncate(len(data))
+
+
 def _load_weights(path: str) -> tuple[Fraction, ...]:
     return parse_weights_text(_read(path))
 
@@ -79,7 +100,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         lines = [format_tree(tree), f"cost = {format_rational(tree_cost(tree, weights))}"]
     if trace_text is not None:
-        Path(args.emit_trace).write_text(trace_text, encoding="utf-8")
+        _write_over(args.emit_trace, trace_text)
     print("\n".join(lines))
     return 0 if tree is not None else 1
 
@@ -131,7 +152,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     config = parse_config(_read(args.config))
     report = run_campaign(config)
     rendered = report.render()
-    Path(args.out).write_text(rendered, encoding="utf-8")
+    _write_over(args.out, rendered)
     for line in rendered.splitlines():
         if line.startswith("#"):
             print(line)

@@ -255,18 +255,30 @@ def stability_witness(
 
 
 def dump_trace(trace: DecisionTrace) -> str:
-    """Serialize to line-delimited records, one JSON object per comparison."""
+    """Serialize to line-delimited records, one JSON object per comparison.
+
+    Each line is written out directly: rational text is digits, `-` and `/`,
+    so nothing needs JSON escaping. A trace repeats a few coefficients and
+    values many times, so each distinct one is formatted once per call.
+    """
+    coeff_texts: dict[RationalLike, str] = {}
+    value_texts: dict[Fraction, str] = {}
     lines = []
     for step, functional, value, _, tie, branch in trace.records:
-        obj = {
-            "step": step,
-            "coeffs": {str(i): format_rational(c) for i, c in functional},
-            "value": format_rational(value),
-            "tie": tie,
-            "branch": branch,
-        }
-        lines.append(json.dumps(obj))
-    return "\n".join(lines) + ("\n" if lines else "")
+        coeffs = []
+        for i, c in functional:
+            text = coeff_texts.get(c)
+            if text is None:
+                text = coeff_texts[c] = format_rational(c)
+            coeffs.append(f'"{i}": "{text}"')
+        text = value_texts.get(value)
+        if text is None:
+            text = value_texts[value] = format_rational(value)
+        lines.append(
+            f'{{"step": {step}, "coeffs": {{{", ".join(coeffs)}}}, "value": "{text}", '
+            f'"tie": {"true" if tie else "false"}, "branch": "{branch}"}}\n'
+        )
+    return "".join(lines)
 
 
 _TRACE_KEYS = {"step", "coeffs", "value", "tie", "branch"}

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import stat
+import threading
 from pathlib import Path
 
 import pytest
 
-from tiebreak.cli import main
+from tiebreak.alphabetic import hu_tucker
+from tiebreak.cli import main, parse_weights_text
+from tiebreak.trace import dump_trace
 
 
 @pytest.fixture()
@@ -156,6 +161,83 @@ def test_results_past_the_digit_limit_exit_two_with_no_output(
         assert captured.out == ""
         assert "too many digits" in captured.err
     assert not trace.exists()
+
+
+def solve_onto(wfile: str, target: str) -> int:
+    return main(["solve", "--weights", wfile, "--policy", "leftmost", "--emit-trace", target])
+
+
+def test_emit_trace_to_dev_null_succeeds(weights_file, capsys) -> None:
+    # /dev/null refuses truncation, so the writer must not ask for it.
+    assert solve_onto(weights_file("1 1 1 1"), os.devnull) == 0
+    assert capsys.readouterr().out.endswith("cost = 8\n")
+
+
+def test_emit_trace_into_a_fifo_delivers_the_dumped_text(weights_file, tmp_path, capsys) -> None:
+    wfile = weights_file("1 1 1 1 2")
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    received: list[bytes] = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert solve_onto(wfile, str(fifo)) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    _, trace = hu_tucker(parse_weights_text("1 1 1 1 2"), "leftmost")
+    assert received == [dump_trace(trace).encode("utf-8")]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("old_size", ["longer", "shorter", "equal"])
+def test_emit_trace_over_an_existing_file_equals_a_fresh_write(
+    weights_file, tmp_path, capsys, old_size
+) -> None:
+    wfile = weights_file("1 1 1 1 1 1")
+    fresh = tmp_path / "fresh.txt"
+    assert solve_onto(wfile, str(fresh)) == 0
+    expected = fresh.read_bytes()
+    old = {
+        "longer": b"x" * (2 * len(expected)),
+        "shorter": expected[: len(expected) // 2],
+        "equal": b"y" * len(expected),
+    }[old_size]
+    target = tmp_path / "trace.txt"
+    target.write_bytes(old)
+    assert solve_onto(wfile, str(target)) == 0
+    assert target.read_bytes() == expected
+    capsys.readouterr()
+
+
+def test_output_files_keep_their_mode(weights_file, tmp_path, capsys) -> None:
+    trace = tmp_path / "trace.txt"
+    trace.write_text("old\n" * 1000, encoding="utf-8")
+    trace.chmod(0o640)
+    report = tmp_path / "report.jsonl"
+    report.write_text("old\n", encoding="utf-8")
+    report.chmod(0o604)
+    config = weights_file("seed = 5\nn_max = 3\ncount.all-equal = 1\n", name="campaign.cfg")
+    assert solve_onto(weights_file("1 1 1"), str(trace)) == 0
+    assert main(["fuzz", "--config", config, "--out", str(report)]) == 0
+    assert stat.S_IMODE(trace.stat().st_mode) == 0o640
+    assert stat.S_IMODE(report.stat().st_mode) == 0o604
+    assert trace.read_text(encoding="utf-8").startswith('{"step": 1,')
+    assert report.read_bytes().startswith(b'{"')
+    capsys.readouterr()
+
+
+def test_digit_limit_error_leaves_an_existing_trace_untouched(
+    weights_file, tmp_path, capsys
+) -> None:
+    zeros = "0" * 2999
+    wfile = weights_file(f"1/1{zeros}1 1/1{zeros}3 1")
+    trace = tmp_path / "trace.txt"
+    old = b'{"step": 1, "coeffs": {}, "value": "1", "tie": false, "branch": "R"}\n'
+    trace.write_bytes(old)
+    assert solve_onto(wfile, str(trace)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too many digits" in captured.err
+    assert trace.read_bytes() == old
 
 
 def test_partition_command(weights_file, capsys) -> None:

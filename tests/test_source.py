@@ -171,3 +171,62 @@ def test_exhaustive_oracles_share_no_step_with_what_they_check(oracle) -> None:
     used = _names_used(oracle.__code__)
     assert "clear_denominators" in used
     assert used.isdisjoint({"dp_optimal_cost", "greedy_partition", "phase1_depths"})
+
+
+def _file_writes(source: str) -> list[int]:
+    """Lines outside `_write_over` that write a file or open one for writing."""
+    found = []
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        if isinstance(node, ast.FunctionDef) and node.name == "_write_over":
+            inside = True
+        if isinstance(node, ast.Call) and not inside:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("write_text", "write_bytes"):
+                found.append(node.lineno)
+            elif name == "open":
+                # `os.open` takes flags, so it counts wherever it appears. The
+                # mode is builtin `open`'s second argument, `Path.open`'s first.
+                is_os = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+                at = 1 if isinstance(func, ast.Name) else 0
+                modes = node.args[at : at + 1] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+                if is_os or any(
+                    not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                    or set(m.value) & set("wax+")
+                    for m in modes
+                ):
+                    found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_cli_writes_files_only_through_its_one_writer() -> None:
+    # Truncating a file whose blocks are on disk waits for them to be freed;
+    # `_write_over` writes in place instead, and every output goes through it.
+    source = Path(tiebreak.cli.__file__).read_text(encoding="utf-8")
+    assert "def _write_over(" in source
+    assert _file_writes(source) == []
+
+
+@pytest.mark.parametrize(
+    "line, writes",
+    [
+        ('Path(p).write_text(t, encoding="utf-8")', True),
+        ("Path(p).write_bytes(b)", True),
+        ('open(p, "w")', True),
+        ('open(p, mode="a")', True),
+        ("open(p, mode)", True),
+        ('Path(p).open("r+")', True),
+        ("os.open(p, os.O_WRONLY)", True),
+        ("open(p)", False),
+        ('open(p, "rb")', False),
+        ("Path(p).read_text()", False),
+    ],
+)
+def test_the_writer_guard_sees_each_way_to_write(line: str, writes: bool) -> None:
+    source = f"def _cmd(p, t, b, mode):\n    {line}\n\n\ndef _write_over(p, t):\n    {line}\n"
+    assert _file_writes(source) == ([2] if writes else [])
