@@ -69,13 +69,27 @@ def _write_over(path: str, text: str) -> None:
 
     The file is created if absent and otherwise keeps its mode. Only a
     regular file is truncated: `/dev/null`, a pipe or a FIFO refuse it.
+    A regular file that standard output also writes to (`--emit-trace
+    /dev/stdout > FILE`) is refused with OSError before anything is
+    written: both writers would start at offset 0 and overwrite each other.
     """
     data = text.encode("utf-8")
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         old = os.fstat(fh.fileno())
+        if stat.S_ISREG(old.st_mode) and _is_stdout(old):
+            raise OSError(f"refusing to write {path}: standard output goes to the same file")
         fh.write(data)
         if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
             fh.truncate(len(data))
+
+
+def _is_stdout(st: os.stat_result) -> bool:
+    """Is `st` the file behind standard output? False when stdout has no descriptor."""
+    try:
+        out = os.fstat(sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        return False
+    return (out.st_dev, out.st_ino) == (st.st_dev, st.st_ino)
 
 
 def _load_weights(path: str) -> tuple[Fraction, ...]:

@@ -4,11 +4,12 @@ The solver's guarantees are exercised exactly where naive implementations
 break: all-equal weights, repeated blocks, sprinkled zeros, tied pair sums,
 palindromes. `check_instance` runs one weight vector through the full
 gauntlet (solve, reconstruct, compare against the DP oracle, audit the
-trace, replay with explicit two-component arithmetic, replay at the
-perturbed instance) and `run_campaign` drives thousands of such checks from
-a single integer seed, byte-reproducibly. The campaign also settles, by
-experiment against a direct positional implementation, which shadow
-orientation realizes which tie policy.
+trace, then one replay of the combine loop that scores both the explicit
+two-component re-run and the re-run at the perturbed instance) and
+`run_campaign` drives thousands of such checks from a single integer seed,
+byte-reproducibly. The campaign also settles, by experiment against a
+direct positional implementation, which shadow orientation realizes which
+tie policy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, sub
 from typing import Sequence
 
 from .alphabetic import (
@@ -290,103 +290,83 @@ class _PathMismatch(Exception):
     pass
 
 
-def _path_repeats(
-    entry_weights: list, weight_add, weight_sub, decide, depths: tuple[int, ...], pending
-) -> bool:
-    """Run phase 1 with a checking `decide`; the solve's path must repeat exactly.
-
-    `decide` takes the next record from `pending`, an iterator over the
-    solve's records, and raises _PathMismatch at the first decision that
-    differs from it. The run must also reach the same depths and leave no
-    record unused.
-    """
-    try:
-        redone = phase1_depths(entry_weights, weight_add, weight_sub, decide)
-    except _PathMismatch:
-        return False
-    return redone == depths and next(pending, None) is None
-
-
-def _explicit_run_matches(
+def _replay_matches(
     vec: tuple[Fraction, ...],
     shadow: ShadowVector,
+    step: Fraction | None,
     depths: tuple[int, ...],
     trace: DecisionTrace,
-) -> bool:
-    """Re-solve with two-component arithmetic, checking each decision in place.
+) -> tuple[bool, bool | None]:
+    """Replay phase 1 once and score two re-runs on it: (equivalent, stable).
 
-    Every comparison's own (diff, drift) pair gives its lexicographic sign,
-    which must equal the next record's realized sign; the record must also
-    have this comparison's functional, value (diff / scale, compared by
-    cross-multiplication) and tie flag. A comparison zero in both
-    components decides nothing and counts as a mismatch. No record is built.
+    The combine loop runs over triples (w_i, s_i, m_i), m_i weight i of
+    w + step*s, and follows the recorded realized signs. At each comparison
+    the explicit re-run must match the record by the lexicographic sign of
+    (diff, drift), the tie flag and the value; the perturbed re-run must
+    give the recorded sign strictly, on the moved diff. A re-run that
+    disagrees fails and is checked no further, and the replay stops once
+    both have failed: while a re-run agrees, the recorded sign is its own
+    decision, so it fails where a run of its own would. A differing
+    functional or a missing record fails both, and each must reach the same
+    depths and use every record. With `step` None the run is over pairs
+    (w_i, s_i) and `stable` is None. A moved weight below zero raises
+    DomainError. No record is built.
     """
     scale, scaled = clear_denominators(vec)
+    if step is None:
+        entry_weights = list(zip(scaled, shadow.entries))
+        weight_add, weight_sub = (
+            lambda a, b: (a[0] + b[0], a[1] + b[1]),
+            lambda a, b: (a[0] - b[0], a[1] - b[1]),
+        )
+    else:
+        num, den = step.numerator, step.denominator
+        # The moved weights times the positive scale * den, as ints: every
+        # sign the replay takes is the same as at w + step*s itself.
+        moved = [x * den + num * e * scale for x, e in zip(scaled, shadow.entries)]
+        if min(moved) < 0:
+            raise DomainError(f"step {format_rational(step)} makes a weight negative")
+        entry_weights = list(zip(scaled, shadow.entries, moved))
+        weight_add, weight_sub = (
+            lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+            lambda a, b: (a[0] - b[0], a[1] - b[1], a[2] - b[2]),
+        )
     pending = iter(trace.records)
+    explicit = True
+    perturbed = step is not None
 
     def decide(items, diff) -> int:
-        d, drift = diff
-        if d:
-            realized = 1 if d > 0 else -1
-        elif drift:
-            realized = 1 if drift > 0 else -1
-        else:
-            raise _PathMismatch
+        nonlocal explicit, perturbed
         record = next(pending, None)
         if record is None:
             raise _PathMismatch
         _, functional, value, recorded, tie, _ = record
-        if (
-            recorded != realized
-            or tie != (not d)
-            or d * value.denominator != value.numerator * scale
-            or functional != tuple(items)
-        ):
+        if functional != tuple(items):
             raise _PathMismatch
-        return realized
-
-    return _path_repeats(
-        list(zip(scaled, shadow.entries)),
-        lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        lambda a, b: (a[0] - b[0], a[1] - b[1]),
-        decide,
-        depths,
-        pending,
-    )
-
-
-def _perturbed_run_matches(
-    vec: tuple[Fraction, ...],
-    shadow: ShadowVector,
-    step: Fraction,
-    depths: tuple[int, ...],
-    trace: DecisionTrace,
-) -> bool:
-    """Re-solve at w + step*s; the decision path must repeat without any tie.
-
-    Each comparison's sign at the moved weights must equal the next
-    record's realized sign, over the record's functional; a tie is a
-    mismatch. A moved weight below zero raises DomainError.
-    """
-    scale, scaled = clear_denominators(vec)
-    num, den = step.numerator, step.denominator
-    # The moved weights times the positive scale * den, as ints: every sign
-    # the replay takes is the same as at w + step*s itself.
-    moved = [x * den + num * e * scale for x, e in zip(scaled, shadow.entries)]
-    if min(moved) < 0:
-        raise DomainError(f"step {format_rational(step)} makes a weight negative")
-    pending = iter(trace.records)
-
-    def decide(items, diff) -> int:
-        record = next(pending, None)
-        if record is None or not diff:
+        if explicit:
+            d = diff[0]
+            lead = d or diff[1]
+            if (
+                not lead
+                or (1 if lead > 0 else -1) != recorded
+                or tie != (not d)
+                or d * value.denominator != value.numerator * scale
+            ):
+                explicit = False
+        if perturbed:
+            m = diff[2]
+            if not m or (1 if m > 0 else -1) != recorded:
+                perturbed = False
+        if not (explicit or perturbed):
             raise _PathMismatch
-        realized = 1 if diff > 0 else -1
-        if record[3] != realized or record[1] != tuple(items):
-            raise _PathMismatch
-        return realized
+        return recorded
 
-    return _path_repeats(moved, add, sub, decide, depths, pending)
+    try:
+        redone = phase1_depths(entry_weights, weight_add, weight_sub, decide)
+    except _PathMismatch:
+        return False, None if step is None else False
+    complete = redone == depths and next(pending, None) is None
+    return explicit and complete, None if step is None else perturbed and complete
 
 
 def check_instance(
@@ -405,12 +385,13 @@ def check_instance(
     (one `stability_witness` pass, which also bounds the witness), the
     explicit two-component re-run makes every recorded decision, and
     re-solving at the stability witness repeats the decision path tie-free.
-    Both re-runs check each decision against the trace as they make it and
-    build no records. Failures are recorded, never raised. When the witness
-    step would leave the nonnegative domain (possible with the negative
-    orientation) the replay is clamped to the largest admissible step, and
-    at boundary points with no admissible step it is skipped; both cases
-    are labeled, not failed.
+    One replay of the combine loop, `_replay_matches`, scores both re-runs:
+    it checks each decision against the trace as it makes it and builds no
+    records. Failures are recorded, never raised. When the witness step
+    would leave the nonnegative domain (possible with the negative
+    orientation) the perturbed re-run is clamped to the largest admissible
+    step, and at boundary points with no admissible step it is skipped;
+    both cases are labeled, not failed.
     """
     vec = require_nonnegative_weights(w)
     n = len(vec)
@@ -433,11 +414,11 @@ def check_instance(
     except PolicyMismatchError:
         witness = None
     policy_verified = witness is not None
-    equivalent = _explicit_run_matches(vec, shadow, depths, trace)
 
     left: bool | None = None
     stability = "not-run"
     stability_mode: str | None = None
+    step: Fraction | None = None
     if witness is not None:
         if family is not None:
             left = leaves_family(family, vec, shadow, witness)
@@ -447,8 +428,9 @@ def check_instance(
         else:
             step = witness if cap is None or witness <= cap else cap
             stability_mode = "witness" if step == witness else "clamped"
-            ok = _perturbed_run_matches(vec, shadow, step, depths, trace)
-            stability = "pass" if ok else "fail"
+    equivalent, stable = _replay_matches(vec, shadow, step, depths, trace)
+    if step is not None:
+        stability = "pass" if stable else "fail"
 
     if brute is None and n <= ORACLE_CAP:
         brute = brute_force_optimal(vec)

@@ -61,10 +61,13 @@ def max_step_in_domain(w: Sequence[RationalLike], s: ShadowVector) -> Fraction |
     immediately. A shadow of another length than w raises StructureError.
     """
     check_shadow_length(len(w), s)
-    limit: Fraction | None = None
+    # The running minimum of w_i / -s_i is the pair ln / ld, ld > 0, compared
+    # by cross-multiplication; one Fraction is built at the end.
+    ln = ld = None
     for wi, si in zip(w, s.entries):
         if si < 0:
-            cap = Fraction(wi) / -Fraction(si)
-            if limit is None or cap < limit:
-                limit = cap
-    return limit
+            cn = wi.numerator * si.denominator
+            cd = -si.numerator * wi.denominator
+            if ln is None or cn * ld < ln * cd:
+                ln, ld = cn, cd
+    return None if ln is None else Fraction(ln, ld)

@@ -418,6 +418,8 @@ def recorder(
     make = ComparisonRecord.make
     values: dict[int, Fraction] = {}
     keep_values = on_record is None
+    # Index 0 is padding, so that 1-based indices need no shift.
+    at_s = (0, *shadow_entries)
     step = 0
 
     def decide(items: Sequence[tuple[int, RationalLike]], diff: int, drift=None) -> int:
@@ -427,7 +429,9 @@ def recorder(
             realized = 1 if diff > 0 else -1
         else:
             if drift is None:
-                drift = sum(c * shadow_entries[i - 1] for i, c in items)
+                drift = 0
+                for i, c in items:
+                    drift += c * at_s[i]
             if drift > 0:
                 realized = 1
             elif drift < 0:

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import os
 import stat
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
+import tiebreak
 from tiebreak.alphabetic import hu_tucker
 from tiebreak.cli import main, parse_weights_text
 from tiebreak.trace import dump_trace
@@ -238,6 +241,58 @@ def test_digit_limit_error_leaves_an_existing_trace_untouched(
     assert captured.out == ""
     assert "too many digits" in captured.err
     assert trace.read_bytes() == old
+
+
+def run_cli(args: list[str], stdout) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process with the given standard output."""
+    src = str(Path(tiebreak.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "tiebreak.cli", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=60,
+    )
+
+
+def output_args(command: str, weights_file, target: str) -> list[str]:
+    if command == "solve":
+        wfile = weights_file("1 1 1 1 1 1")
+        return ["solve", "--weights", wfile, "--policy", "leftmost", "--emit-trace", target]
+    config = weights_file("seed = 5\nn_max = 3\ncount.all-equal = 1\n", name="campaign.cfg")
+    return ["fuzz", "--config", config, "--out", target]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("command", ["solve", "fuzz"])
+@pytest.mark.parametrize("via", ["/dev/stdout", "path"])
+def test_output_file_that_is_also_stdout_is_refused(
+    weights_file, tmp_path, command, via
+) -> None:
+    # `solve --emit-trace /dev/stdout > FILE` used to write the trace through
+    # a second descriptor at offset 0, then print over its first bytes.
+    out_file = tmp_path / "out.txt"
+    target = "/dev/stdout" if via == "/dev/stdout" else str(out_file)
+    with open(out_file, "wb") as stdout:
+        proc = run_cli(output_args(command, weights_file, target), stdout)
+    assert proc.returncode == 2
+    assert b"standard output goes to the same file" in proc.stderr
+    assert out_file.read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("command", ["solve", "fuzz"])
+def test_output_file_on_a_stdout_pipe_is_written(weights_file, tmp_path, command) -> None:
+    fresh = tmp_path / "fresh.txt"
+    with open(os.devnull, "wb") as devnull:
+        assert run_cli(output_args(command, weights_file, str(fresh)), devnull).returncode == 0
+    proc = run_cli(output_args(command, weights_file, "/dev/stdout"), subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    expected = fresh.read_bytes()
+    assert proc.stdout.startswith(expected)
+    assert len(proc.stdout) > len(expected)
 
 
 def test_partition_command(weights_file, capsys) -> None:

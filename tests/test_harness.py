@@ -4,19 +4,24 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
+import tiebreak.alphabetic as alphabetic
+import tiebreak.harness as harness
 from tiebreak.alphabetic import (
     LEFTMOST,
     POLICIES,
     POLICY_ORIENTATION,
     RIGHTMOST,
     hu_tucker_phase1,
+    phase1_depths,
     phase1_explicit_shadow,
 )
-from tiebreak.core import LinearFunctional
+from tiebreak.core import LinearFunctional, clear_denominators, format_rational
 from tiebreak.errors import DomainError, FormatError, StructureError
 from tiebreak.harness import (
     ALL_EQUAL,
@@ -29,9 +34,8 @@ from tiebreak.harness import (
     ZERO_SPRINKLED,
     CampaignConfig,
     Family,
-    _explicit_run_matches,
     _parse_int,
-    _perturbed_run_matches,
+    _replay_matches,
     check_instance,
     check_lipschitz,
     generate,
@@ -253,6 +257,28 @@ def test_check_instance_mints_records_only_for_the_solve(monkeypatch) -> None:
     assert minted == list(range(1, len(trace.records) + 1))
 
 
+def test_check_instance_runs_the_combine_loop_twice(monkeypatch) -> None:
+    # The solve is one pass; one replay scores the explicit and the
+    # perturbed re-run together, so it is the only other pass.
+    passes = []
+
+    def counting_phase1_depths(*args):
+        passes.append(len(args[0]))
+        return phase1_depths(*args)
+
+    monkeypatch.setattr(alphabetic, "phase1_depths", counting_phase1_depths)
+    monkeypatch.setattr(harness, "phase1_depths", counting_phase1_depths)
+    for w, policy, stability in [
+        (generate(Family(PAIR_SUM_TIES), 24, "passes"), RIGHTMOST, "pass"),
+        ((Fraction(1, 64),) * 3, LEFTMOST, "pass"),
+        ((0, 1, 1), LEFTMOST, "skipped-boundary"),
+    ]:
+        passes.clear()
+        verdict = check_instance(w, policy)
+        assert verdict.passed and verdict.stability == stability
+        assert passes == [len(w), len(w)]
+
+
 # -- replays that check each decision in place ------------------------------
 
 
@@ -322,6 +348,127 @@ def _rebuilt(trace: DecisionTrace) -> DecisionTrace:
     )
 
 
+class _PathMismatch(Exception):
+    pass
+
+
+def _path_repeats(entry_weights, weight_add, weight_sub, decide, depths, pending) -> bool:
+    """Reference: phase 1 with a checking `decide` must repeat the solve's path.
+
+    `decide` raises _PathMismatch at the first decision that differs from
+    the next record of `pending`; the run must also reach the same depths
+    and leave no record unused.
+    """
+    try:
+        redone = phase1_depths(entry_weights, weight_add, weight_sub, decide)
+    except _PathMismatch:
+        return False
+    return redone == depths and next(pending, None) is None
+
+
+def _explicit_reference(w, s, depths, trace) -> bool:
+    """Reference explicit replay: its own lexicographic (diff, drift) decisions."""
+    scale, scaled = clear_denominators(w)
+    pending = iter(trace.records)
+
+    def decide(items, diff) -> int:
+        d, drift = diff
+        if d:
+            realized = 1 if d > 0 else -1
+        elif drift:
+            realized = 1 if drift > 0 else -1
+        else:
+            raise _PathMismatch
+        record = next(pending, None)
+        if record is None:
+            raise _PathMismatch
+        _, functional, value, recorded, tie, _ = record
+        if (
+            recorded != realized
+            or tie != (not d)
+            or d * value.denominator != value.numerator * scale
+            or functional != tuple(items)
+        ):
+            raise _PathMismatch
+        return realized
+
+    return _path_repeats(
+        list(zip(scaled, s.entries)),
+        lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        lambda a, b: (a[0] - b[0], a[1] - b[1]),
+        decide,
+        depths,
+        pending,
+    )
+
+
+def _perturbed_reference(w, s, step, depths, trace) -> bool:
+    """Reference perturbed replay: its own strict decisions at w + step*s."""
+    scale, scaled = clear_denominators(w)
+    num, den = step.numerator, step.denominator
+    moved = [x * den + num * e * scale for x, e in zip(scaled, s.entries)]
+    if min(moved) < 0:
+        raise DomainError(f"step {format_rational(step)} makes a weight negative")
+    pending = iter(trace.records)
+
+    def decide(items, diff) -> int:
+        record = next(pending, None)
+        if record is None or not diff:
+            raise _PathMismatch
+        realized = 1 if diff > 0 else -1
+        if record[3] != realized or record[1] != tuple(items):
+            raise _PathMismatch
+        return realized
+
+    return _path_repeats(moved, add, sub, decide, depths, pending)
+
+
+def _replay_steps(w, s, trace) -> list[Fraction | None]:
+    """No step, the step `check_instance` would replay at, and 7 times that step."""
+    witness = stability_witness(trace, w, s)
+    cap = max_step_in_domain(w, s)
+    if cap == 0:
+        return [None]
+    step = witness if cap is None or witness <= cap else cap
+    return [None, step, 7 * step]
+
+
+def test_replay_matches_the_two_reference_replays() -> None:
+    # One combined replay must give exactly the two separate replays'
+    # verdicts, on every family, size and policy, on the solve's trace and
+    # on each forgery, with no step, at the replayed step and past it.
+    outcomes: Counter = Counter()
+    for name in FAMILY_NAMES:
+        for n in range(1, 41):
+            w = generate(Family(name), n, "combined")
+            for policy in POLICIES:
+                s, depths, trace = _solve(w, policy)
+                cases = [trace]
+                if len(trace.records) >= 2:
+                    cases += _forgeries(trace).values()
+                for step in _replay_steps(w, s, trace):
+                    for case in cases:
+                        expected_equivalent = _explicit_reference(w, s, depths, case)
+                        if step is None:
+                            expected = (expected_equivalent, None)
+                        else:
+                            try:
+                                expected = (
+                                    expected_equivalent,
+                                    _perturbed_reference(w, s, step, depths, case),
+                                )
+                            except DomainError:
+                                with pytest.raises(DomainError, match="negative"):
+                                    _replay_matches(w, s, step, depths, case)
+                                outcomes["domain"] += 1
+                                continue
+                        got = _replay_matches(w, s, step, depths, case)
+                        assert got == expected, (name, n, policy, step)
+                        outcomes[got] += 1
+    assert {(a, b) for a in (True, False) for b in (True, False)} <= set(outcomes)
+    assert outcomes[(True, None)] and outcomes[(False, None)] and outcomes["domain"]
+
+
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_explicit_replay_agrees_with_the_record_stream_comparison(name: str) -> None:
     # The in-place replay must give the verdict that comparing the records
@@ -336,8 +483,10 @@ def test_explicit_replay_agrees_with_the_record_stream_comparison(name: str) -> 
             if len(trace.records) >= 2 and n % 3 == 1:
                 cases += _forgeries(trace).values()
             for case in cases:
-                assert _explicit_run_matches(w, s, depths, case) == _stream_matches(w, s, depths, case)
-            assert _explicit_run_matches(w, s, depths, trace)
+                equivalent, stable = _replay_matches(w, s, None, depths, case)
+                assert stable is None
+                assert equivalent == _stream_matches(w, s, depths, case)
+            assert _replay_matches(w, s, None, depths, trace) == (True, None)
 
 
 @pytest.mark.parametrize("kind", ["value", "functional", "branch", "tie-flag", "dropped", "added"])
@@ -345,13 +494,11 @@ def test_forged_traces_fail_the_replays(kind: str) -> None:
     w = generate(Family(PAIR_SUM_TIES), 16, "forged")
     s, depths, trace = _solve(w, RIGHTMOST)
     witness = stability_witness(trace, w, s)
-    assert _explicit_run_matches(w, s, depths, trace)
-    assert _perturbed_run_matches(w, s, witness, depths, trace)
-    forged = _forgeries(trace)[kind]
-    assert not _explicit_run_matches(w, s, depths, forged)
-    if kind in ("functional", "branch", "dropped", "added"):
-        # The perturbed replay checks the path, not values or tie flags.
-        assert not _perturbed_run_matches(w, s, witness, depths, forged)
+    assert _replay_matches(w, s, witness, depths, trace) == (True, True)
+    equivalent, stable = _replay_matches(w, s, witness, depths, _forgeries(trace)[kind])
+    assert not equivalent
+    # The perturbed replay checks the path, not values or tie flags.
+    assert stable == (kind in ("value", "tie-flag"))
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -373,15 +520,16 @@ def test_perturbed_replay_fails_where_the_path_ties(policy: str) -> None:
     assert cap is None or first <= cap
     witness = stability_witness(trace, w, s)
     assert witness < first
-    assert _perturbed_run_matches(w, s, witness, depths, trace)
-    assert not _perturbed_run_matches(w, s, first, depths, trace)
+    assert _replay_matches(w, s, witness, depths, trace) == (True, True)
+    # The explicit replay is scored on to the end after the perturbed one fails.
+    assert _replay_matches(w, s, first, depths, trace) == (True, False)
 
 
 def test_perturbed_replay_keeps_moved_weights_nonnegative() -> None:
     w = (Fraction(0), Fraction(1), Fraction(1))
     s, depths, trace = _solve(w, LEFTMOST)
     with pytest.raises(DomainError, match="negative"):
-        _perturbed_run_matches(w, s, Fraction(1), depths, trace)
+        _replay_matches(w, s, Fraction(1), depths, trace)
 
 
 # -- continuity -------------------------------------------------------------

@@ -51,6 +51,40 @@ def test_max_step_in_domain() -> None:
     assert max_step_in_domain([Fraction(0)], dyadic_shadow(1)) is None
 
 
+def _max_step_in_fractions(w, s):
+    """Reference: the minimum of w_i / -s_i over negative s_i, in Fractions."""
+    caps = [Fraction(wi) / -Fraction(si) for wi, si in zip(w, s.entries) if si < 0]
+    return min(caps) if caps else None
+
+
+def test_max_step_agrees_with_fraction_arithmetic() -> None:
+    rng = random.Random("perturb-cap-fractions")
+
+    def rational(lo: int) -> Fraction:
+        return Fraction(rng.randint(lo, 30), rng.randint(1, 9))
+
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        w = [rational(0) for _ in range(n)]
+        # Fractional shadow entries of both signs, and some zero entries.
+        s = ShadowVector(tuple(rational(-30) for _ in range(n)))
+        assert max_step_in_domain(w, s) == _max_step_in_fractions(w, s)
+        # Int weights and shadow entries take the same path.
+        ints = [rng.randint(0, 9) for _ in range(n)]
+        s = ShadowVector(tuple(rng.randint(-9, 9) for _ in range(n)))
+        assert max_step_in_domain(ints, s) == _max_step_in_fractions(ints, s)
+    # A zero weight under a negative entry caps the step at 0.
+    s = ShadowVector((Fraction(-1, 3), Fraction(-5, 2), Fraction(1, 7)))
+    cap = max_step_in_domain([Fraction(4, 5), Fraction(0), Fraction(2)], s)
+    assert cap == 0 and type(cap) is Fraction
+    # No negative entry: the step is unbounded.
+    s = ShadowVector((Fraction(1, 3), 0, Fraction(5, 2)))
+    assert max_step_in_domain([Fraction(0), Fraction(1, 2), Fraction(0)], s) is None
+    assert max_step_in_domain(
+        [Fraction(3, 4), Fraction(1, 6)], ShadowVector((Fraction(-1, 2), Fraction(-2, 9)))
+    ) == Fraction(3, 4)
+
+
 def test_max_step_keeps_the_vector_nonnegative() -> None:
     rng = random.Random("perturb-cap")
     for _ in range(100):
