@@ -93,7 +93,8 @@ def clear_denominators(values: Sequence[RationalLike]) -> tuple[int, list[int]]:
 
     Lets hot loops run on plain ints; dividing by L recovers exact values.
     """
-    fractions = [v if type(v) is Fraction else Fraction(v) for v in values]
+    # An int has numerator and denominator too, so it needs no Fraction.
+    fractions = [v if type(v) is Fraction or type(v) is int else Fraction(v) for v in values]
     scale = lcm(*(x.denominator for x in fractions)) if fractions else 1
     return scale, [x.numerator * (scale // x.denominator) for x in fractions]
 

@@ -334,6 +334,8 @@ def _replay_matches(
     pending = iter(trace.records)
     explicit = True
     perturbed = step is not None
+    # diff -> a recorded value already found equal to diff / scale.
+    agreed: dict = {}
 
     def decide(items, diff) -> int:
         nonlocal explicit, perturbed
@@ -346,13 +348,13 @@ def _replay_matches(
         if explicit:
             d = diff[0]
             lead = d or diff[1]
-            if (
-                not lead
-                or (1 if lead > 0 else -1) != recorded
-                or tie != (not d)
-                or d * value.denominator != value.numerator * scale
-            ):
+            if not lead or (1 if lead > 0 else -1) != recorded or tie != (not d):
                 explicit = False
+            elif agreed.get(d) is not value:
+                if d * value.denominator == value.numerator * scale:
+                    agreed[d] = value
+                else:
+                    explicit = False
         if perturbed:
             m = diff[2]
             if not m or (1 if m > 0 else -1) != recorded:

@@ -177,17 +177,23 @@ def _audit(
     # multiplication. Raw values and drifts are ints, or Fractions when a
     # loaded functional has fractional coefficients.
     wn = wd = 1
+    # raw -> a recorded value already found equal to raw / scale. Solver
+    # traces share one Fraction per distinct value, so most records skip
+    # the cross-multiplication.
+    agreed: dict = {}
     for step, f, recorded, realized, _, _ in trace.records:
         raw = drift = 0
         for i, c in f:
             raw += c * at_w[i]
             drift += c * at_s[i]
         # Agreement with the record is the identity raw * qd == qn * scale.
-        if raw * recorded.denominator != recorded.numerator * scale:
-            raise CorruptTraceError(
-                f"step {step}: recorded value {format_rational(recorded)} "
-                f"but re-evaluation gives {format_rational(Fraction(raw, scale))}"
-            )
+        if agreed.get(raw) is not recorded:
+            if raw * recorded.denominator != recorded.numerator * scale:
+                raise CorruptTraceError(
+                    f"step {step}: recorded value {format_rational(recorded)} "
+                    f"but re-evaluation gives {format_rational(Fraction(raw, scale))}"
+                )
+            agreed[raw] = recorded
         # The rule `recorder` applies (primary sign, shadow on a tie),
         # recomputed here so that the audit does not trust the solver's.
         if raw:
@@ -198,7 +204,7 @@ def _audit(
             if bn * wd < wn * bd:
                 wn, wd = bn, bd
         else:
-            expected = sign(drift)
+            expected = (drift > 0) - (drift < 0)
         if expected != realized and first_failure is None:
             first_failure = step
         expected_signs.append(expected)
@@ -245,11 +251,13 @@ def stability_witness(
             f"trace fails policy verification at step {first_failure}; "
             f"no stability witness exists"
         )
-    an, ad = witness.numerator, witness.denominator
+    ad = witness.denominator
+    an = witness.numerator * scale
     for (step, _, _, realized, _, _), (raw, drift) in zip(trace.records, terms):
         # sign(f(w) + a*f(s)) via the numerator raw*ad + an*drift*scale over
         # the positive denominator scale*ad.
-        if sign(raw * ad + an * drift * scale) != realized:
+        moved = raw * ad + an * drift
+        if (moved > 0) - (moved < 0) != realized:
             raise StructureError(f"witness failed its own re-evaluation at step {step}")
     return witness
 
