@@ -6,10 +6,12 @@ for identical inputs and flags.
 
 Each command loads only the modules it needs: `fuzz` and `partition` import
 the campaign harness and the partition demo in their own bodies, so `solve`,
-`oracle`, `reconstruct` and `verify-trace` never load them. The solver,
-trace and perturbation modules stay module-level imports, because the
-benchmark tracer (`benchmarks/tracer.py`) patches the bindings it finds in
-the modules loaded by `import tiebreak.cli`.
+`oracle`, `reconstruct` and `verify-trace` never load them, nor the
+`dataclasses` module the harness uses. Of these four, only `verify-trace`
+loads `json`, in `load_trace`. The solver, trace and perturbation modules
+stay module-level imports, because the benchmark tracer
+(`benchmarks/tracer.py`) patches the bindings it finds in the modules loaded
+by `import tiebreak.cli`.
 
 Output files (`solve --emit-trace`, `fuzz --out`) are written by one
 writer, `_write_over`, which writes over an existing file in place instead
@@ -143,9 +145,9 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
     trace = load_trace(_read(args.trace), len(weights))
     shadow = dyadic_shadow(len(weights), _ORIENTATION_FLAG[args.orientation])
     report = verify_policy(trace, weights, shadow)
-    for check in report.checks:
-        print(f"step {check.step}: {'PASS' if check.ok else 'FAIL'}")
-    print(f"result = {'PASS' if report.passed else 'FAIL'}")
+    lines = [f"step {step}: {'PASS' if ok else 'FAIL'}" for step, _, ok in report.checks]
+    lines.append(f"result = {'PASS' if report.passed else 'FAIL'}")
+    print("\n".join(lines))
     return 0 if report.passed else 1
 
 

@@ -10,9 +10,10 @@ parsing goes through `parse_rational`.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, FormatError, StructureError
 

@@ -8,8 +8,8 @@ each entry strictly dominates the sum of all entries to its right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .core import RationalLike
@@ -21,15 +21,28 @@ NEGATIVE = "negative"
 ORIENTATIONS = (POSITIVE, NEGATIVE)
 
 
-@dataclass(frozen=True, slots=True)
-class ShadowVector:
-    """A direction used to resolve exact ties: entry i perturbs weight i."""
+class ShadowVector(tuple):
+    """A direction used to resolve exact ties: entry i perturbs weight i.
 
-    entries: tuple[RationalLike, ...]
+    The instance is the 1-tuple (entries,) with a read-only field property,
+    so it is immutable and compares and hashes by value.
+    """
 
-    def __post_init__(self):
-        if not self.entries:
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[RationalLike, ...]):
+        if not entries:
             raise DomainError("shadow vector must have at least one entry")
+        return tuple.__new__(cls, (entries,))
+
+    entries = property(itemgetter(0))
+
+    def __getnewargs__(self) -> tuple:
+        # pickle and copy rebuild through __new__, one argument per field.
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "ShadowVector(entries={!r})".format(*self)
 
 
 def check_shadow_length(n: int, s: ShadowVector) -> None:

@@ -14,9 +14,7 @@ recompute that rule on their own, so they do not share the solver's code.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -108,45 +106,85 @@ class ComparisonRecord(tuple):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionTrace:
-    """An ordered run of comparison records over an n-entry instance."""
+class DecisionTrace(tuple):
+    """An ordered run of comparison records over an n-entry instance.
 
-    n: int
-    records: tuple[ComparisonRecord, ...]
+    The instance is the tuple (n, records) with read-only field properties;
+    this and the two report classes below follow `ComparisonRecord`.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise StructureError(f"trace instance size must be >= 1, got {self.n}")
+    __slots__ = ()
+
+    def __new__(cls, n: int, records: tuple[ComparisonRecord, ...]):
+        if n < 1:
+            raise StructureError(f"trace instance size must be >= 1, got {n}")
         expected = 1
-        for step, functional, _, _, _, _ in self.records:
+        for step, functional, _, _, _, _ in records:
             if step != expected:
                 raise StructureError(
                     f"trace steps must increase from 1 without gaps; "
                     f"expected {expected}, got {step}"
                 )
-            if functional.max_index() > self.n:
+            if functional.max_index() > n:
                 raise StructureError(
                     f"step {step} references index {functional.max_index()} "
-                    f"outside 1..{self.n}"
+                    f"outside 1..{n}"
                 )
             expected += 1
+        return tuple.__new__(cls, (n, records))
+
+    n = property(itemgetter(0))
+    records = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple:
+        # pickle and copy rebuild through __new__, one argument per field.
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "DecisionTrace(n={!r}, records={!r})".format(*self)
 
 
-@dataclass(slots=True)
-class RecordCheck:
-    step: int
-    expected_sign: int
-    ok: bool
+class RecordCheck(tuple):
+    """One record's audit: the sign the shadow dictates, and whether it was taken."""
+
+    __slots__ = ()
+
+    def __new__(cls, step: int, expected_sign: int, ok: bool):
+        return tuple.__new__(cls, (step, expected_sign, ok))
+
+    # `_trusted((step, expected_sign, ok))` builds one from a field tuple.
+    # `verify_policy` makes one per record, and a call through `__new__`
+    # above costs about twice as much.
+    _trusted = classmethod(tuple.__new__)
+
+    step = property(itemgetter(0))
+    expected_sign = property(itemgetter(1))
+    ok = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "RecordCheck(step={!r}, expected_sign={!r}, ok={!r})".format(*self)
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
+class VerificationReport(tuple):
     """Per-record policy audit plus the overall verdict."""
 
-    passed: bool
-    checks: tuple[RecordCheck, ...]
-    first_failure: int | None
+    __slots__ = ()
+
+    def __new__(cls, passed: bool, checks: tuple[RecordCheck, ...], first_failure: int | None):
+        return tuple.__new__(cls, (passed, checks, first_failure))
+
+    passed = property(itemgetter(0))
+    checks = property(itemgetter(1))
+    first_failure = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "VerificationReport(passed={!r}, checks={!r}, first_failure={!r})".format(*self)
 
 
 def _audit(
@@ -220,10 +258,11 @@ def verify_policy(trace: DecisionTrace, w: Sequence[RationalLike], s: ShadowVect
     realized sign differs from the sign the shadow direction dictates.
     """
     expected_signs, first_failure, _, _, _ = _audit(trace, w, s)
-    checks = tuple(
-        RecordCheck(record[0], expected, expected == record[3])
+    check = RecordCheck._trusted
+    checks = tuple([
+        check((record[0], expected, expected == record[3]))
         for record, expected in zip(trace.records, expected_signs)
-    )
+    ])
     return VerificationReport(first_failure is None, checks, first_failure)
 
 
@@ -295,7 +334,7 @@ _INDEX_RE = re.compile(r"[0-9]+\Z")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    # json.loads keeps the last of repeated keys; the trace format has none.
+    # The decoder keeps the last of repeated keys; the trace format has none.
     obj = dict(pairs)
     if len(obj) != len(pairs):
         seen: set[str] = set()
@@ -309,20 +348,31 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def load_trace(text: str, n: int) -> DecisionTrace:
     """Parse the line-delimited trace format for an n-entry instance.
 
-    Blank lines are ignored. Any malformed line, unknown key, or record that
-    contradicts itself raises FormatError naming the line.
+    Lines end at `\n` (a `\r` before it is allowed), and a line holding only
+    spaces, tabs and `\r` is ignored. Any malformed line, unknown key, or
+    record that contradicts itself raises FormatError naming the line.
     """
+    # Imported here, so that importing this module does not load json.
+    import json
+
+    # One decoder per call: `json.loads` with a hook builds one per line.
+    decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
     records = []
     # A trace repeats a few coefficient and value texts many times, so each
     # distinct text is parsed once per call. Only successful parses are kept,
     # so a bad token raises on the first line that has it.
     coeff_memo: dict[str, RationalLike] = {}
     value_memo: dict[str, Fraction] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip(" \t\r"):
             continue
+        if line.startswith("\ufeff"):
+            # The check, and message, of `json.loads`, which `decode` lacks.
+            raise FormatError(
+                "not a valid record: Unexpected UTF-8 BOM (decode using utf-8-sig)", line=lineno
+            )
         try:
-            obj = json.loads(line, object_pairs_hook=_unique_keys)
+            obj = decode(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"not a valid record: {exc.msg}", line=lineno) from exc
         except FormatError as exc:

@@ -43,7 +43,7 @@ def test_solve_accepts_multiline_rationals(weights_file, capsys) -> None:
 def test_emitted_trace_verifies_under_matching_orientation(
     weights_file, tmp_path, capsys
 ) -> None:
-    wfile = weights_file("1 2 3")
+    wfile = weights_file("1 1 1 1 1")
     trace = tmp_path / "trace.txt"
     assert main(["solve", "--weights", wfile, "--policy", "leftmost", "--emit-trace", str(trace)]) == 0
     capsys.readouterr()
@@ -51,8 +51,9 @@ def test_emitted_trace_verifies_under_matching_orientation(
     code = main(["verify-trace", "--trace", str(trace), "--weights", wfile, "--orientation", "neg"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "step 1: PASS" in out
-    assert out.endswith("result = PASS\n")
+    steps = len(trace.read_text(encoding="utf-8").splitlines())
+    assert steps > 1
+    assert out == "".join(f"step {k}: PASS\n" for k in range(1, steps + 1)) + "result = PASS\n"
 
 
 def test_verify_trace_flags_wrong_orientation_on_ties(

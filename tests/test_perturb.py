@@ -39,8 +39,9 @@ def test_dyadic_shadow_rejects_bad_arguments() -> None:
 
 
 def test_shadow_vector_must_be_nonempty() -> None:
-    with pytest.raises(DomainError):
-        ShadowVector(())
+    for make in (lambda: ShadowVector(()), lambda: ShadowVector(entries=())):
+        with pytest.raises(DomainError, match="shadow vector must have at least one entry"):
+            make()
 
 
 def test_max_step_in_domain() -> None:

@@ -153,6 +153,38 @@ loaded()
         assert "tiebreak.partition" not in loaded
 
 
+def test_trace_commands_never_load_dataclasses_and_solve_never_loads_json(tmp_path: Path) -> None:
+    # Every CLI child pays for what it imports; `dataclasses` also loads
+    # `inspect`, `ast`, `dis` and `tokenize`. A site hook may preload any of
+    # these, so only modules a bare interpreter lacks count.
+    weights = tmp_path / "w.txt"
+    weights.write_text("1 1 1 1 2\n", encoding="utf-8")
+    trace = tmp_path / "trace.txt"
+    (bare,) = run_fresh("import sys; names = sorted(sys.modules); import json; print(json.dumps(names))")
+    # json is imported only after both commands, to print the results.
+    code = """
+import contextlib, io, sys
+import tiebreak.cli
+weights, trace = sys.argv[1:]
+loaded, codes = [], []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(tiebreak.cli.main(
+        ["solve", "--weights", weights, "--policy", "leftmost", "--emit-trace", trace]))
+    loaded.append(sorted(sys.modules))
+    codes.append(tiebreak.cli.main(
+        ["verify-trace", "--trace", trace, "--weights", weights, "--orientation", "neg"]))
+    loaded.append(sorted(sys.modules))
+import json
+print(json.dumps(codes))
+for names in loaded:
+    print(json.dumps(names))
+"""
+    codes, after_solve, after_verify = run_fresh(code, str(weights), str(trace))
+    assert codes == [0, 0]
+    assert (set(after_solve) - set(bare)) & {"dataclasses", "inspect", "json"} == set()
+    assert (set(after_verify) - set(bare)) & {"dataclasses", "inspect"} == set()
+
+
 def _names_used(code) -> set[str]:
     """Global and attribute names a code object and its nested code objects load."""
     names = set(code.co_names)

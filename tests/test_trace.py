@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,12 +19,14 @@ from tiebreak.errors import (
     StructureError,
 )
 from tiebreak.harness import FAMILY_NAMES, Family, generate
-from tiebreak.perturb import NEGATIVE, POSITIVE, dyadic_shadow
+from tiebreak.perturb import NEGATIVE, POSITIVE, ShadowVector, dyadic_shadow
 from tiebreak.trace import (
     LEFT,
     RIGHT,
     ComparisonRecord,
     DecisionTrace,
+    RecordCheck,
+    VerificationReport,
     dump_trace,
     load_trace,
     recorder,
@@ -73,25 +77,67 @@ def test_record_rejects_inconsistent_fields() -> None:
             ComparisonRecord(**bad)
 
 
-def test_record_is_immutable_and_hashable() -> None:
-    rec = _rec()
+@pytest.mark.parametrize(
+    "make, other, field",
+    [
+        (_rec, lambda: _rec(value=2), "step"),
+        (
+            lambda: DecisionTrace(n=2, records=(_rec(),)),
+            lambda: DecisionTrace(n=3, records=(_rec(),)),
+            "records",
+        ),
+        (lambda: RecordCheck(1, -1, True), lambda: RecordCheck(1, -1, False), "ok"),
+        (
+            lambda: VerificationReport(True, (RecordCheck(1, 1, True),), None),
+            lambda: VerificationReport(False, (RecordCheck(1, 1, False),), 1),
+            "first_failure",
+        ),
+        (lambda: ShadowVector((8, 4, 2)), lambda: ShadowVector((8, 4, 1)), "entries"),
+    ],
+    ids=["ComparisonRecord", "DecisionTrace", "RecordCheck", "VerificationReport", "ShadowVector"],
+)
+def test_values_are_immutable_and_compare_and_hash_by_value(make, other, field: str) -> None:
+    value = make()
     with pytest.raises(AttributeError):
-        rec.step = 9  # type: ignore[misc]
-    assert rec == _rec()
-    assert rec != _rec(value=2)
-    assert rec != "something else"
-    assert len({rec, _rec()}) == 1
-    assert "step=1" in repr(rec)
+        setattr(value, field, getattr(value, field))
+    assert value == make() and hash(value) == hash(make())
+    assert value != other()
+    assert value != "something else"
+    assert len({value, make()}) == 1
+    assert f"{field}=" in repr(value)
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        # Not a trace with records: a ComparisonRecord neither pickles nor copies.
+        (DecisionTrace, {"n": 2, "records": ()}),
+        (RecordCheck, {"step": 3, "expected_sign": -1, "ok": False}),
+        (VerificationReport, {"passed": False, "checks": (RecordCheck(1, 1, False),), "first_failure": 1}),
+        (ShadowVector, {"entries": (8, 4, 2)}),
+    ],
+    ids=lambda arg: arg.__name__ if isinstance(arg, type) else "",
+)
+def test_fields_construct_by_position_or_keyword(cls, fields: dict) -> None:
+    by_keyword = cls(**fields)
+    by_position = cls(*fields.values())
+    assert by_keyword == by_position
+    assert {name: getattr(by_position, name) for name in fields} == fields
+    # pickle and copy rebuild through the constructor, field by field.
+    for again in (pickle.loads(pickle.dumps(by_keyword)), copy.copy(by_keyword), copy.deepcopy(by_keyword)):
+        assert type(again) is cls and again == by_keyword
 
 
 def test_trace_requires_consecutive_steps_within_range() -> None:
     DecisionTrace(n=2, records=(_rec(1), _rec(2)))
-    with pytest.raises(StructureError, match="expected 1"):
+    with pytest.raises(StructureError, match="expected 1, got 2"):
         DecisionTrace(n=2, records=(_rec(2),))
-    with pytest.raises(StructureError, match="expected 2"):
-        DecisionTrace(n=2, records=(_rec(1), _rec(3)))
-    with pytest.raises(StructureError, match="outside"):
+    with pytest.raises(StructureError, match="expected 2, got 3"):
+        DecisionTrace(2, (_rec(1), _rec(3)))
+    with pytest.raises(StructureError, match=r"step 1 references index 2 outside 1\.\.1"):
         DecisionTrace(n=1, records=(_rec(1),))
+    with pytest.raises(StructureError, match="trace instance size must be >= 1, got 0"):
+        DecisionTrace(n=0, records=())
     assert DecisionTrace(n=5, records=()).records == ()
 
 
@@ -197,10 +243,34 @@ def test_dump_of_an_empty_trace_is_empty() -> None:
 def test_load_skips_blank_lines_and_reports_line_numbers() -> None:
     _, _, _, trace = _solve((1, 2, 3), LEFTMOST)
     text = dump_trace(trace)
-    assert load_trace("\n" + text + "\n\n", 3).records == trace.records
+    assert load_trace("\n" + text + "\n \t\r\n\n", 3).records == trace.records
 
     with pytest.raises(FormatError, match="line 2"):
         load_trace("\n{not json}", 3)
+
+
+@pytest.mark.parametrize(
+    "separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r"], ids=repr
+)
+def test_load_splits_records_only_at_newlines(separator: str) -> None:
+    # The format is one record per line; str.splitlines() would also split
+    # at each of these.
+    _, _, _, trace = _solve((1, 1, 1, 1, 1), LEFTMOST)
+    text = dump_trace(trace)
+    assert len(trace.records) == 9
+    with pytest.raises(FormatError, match="line 1"):
+        load_trace(text.replace("\n", separator), 5)
+    # Nor is a line holding only that character blank, except for `\r`,
+    # which JSON counts as whitespace.
+    if separator != "\r":
+        with pytest.raises(FormatError, match="line 2"):
+            load_trace(text.replace("\n", "\n" + separator + "\n", 1), 5)
+
+
+def test_load_reads_crlf_line_endings() -> None:
+    _, _, _, trace = _solve((1, 1, 1, 1, 1), LEFTMOST)
+    text = dump_trace(trace).replace("\n", "\r\n")
+    assert load_trace(text, 5).records == trace.records
 
 
 @pytest.mark.parametrize(
@@ -223,6 +293,8 @@ def test_load_skips_blank_lines_and_reports_line_numbers() -> None:
         ('{"step": 1, "coeffs": {"\u0662": "1"}, "value": "1", "tie": false, "branch": "R"}', "not an integer"),
         ('{"step": 1, "coeffs": {"1": "1"}, "value": "1", "tie": false, "branch": "L", "branch": "R"}', "duplicate key 'branch'"),
         ('{"step": 1, "coeffs": {"1": "-1", "1": "1"}, "value": "1", "tie": false, "branch": "R"}', "duplicate key '1'"),
+        ('\ufeff{"step": 1, "coeffs": {"1": "1"}, "value": "1", "tie": false, "branch": "R"}', "Unexpected UTF-8 BOM"),
+        ('{"step": 1, "coeffs": {"1": "1"}, "value": "1", "tie": false, "branch": "R"} {}', "Extra data"),
     ],
 )
 def test_load_rejects_malformed_records(line: str, message: str) -> None:
