@@ -411,10 +411,7 @@ def phase1_depths(
         b.lo, b.hi, b.total = lo, hi, weight_add(lo.weight, hi.weight)
         _sift_down(blocks, 0, block_less, True)
 
-    depths = _leaf_depths(merged.shape)
-    if set(depths) != set(range(1, n + 1)):
-        raise StructureError("combine shape lost leaves")
-    return tuple(depths[i] for i in range(1, n + 1))
+    return tree_depths(merged.shape)
 
 
 def hu_tucker_phase1(

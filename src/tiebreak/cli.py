@@ -1,8 +1,9 @@
 """Command-line front-end: solvers, oracles, verification, campaigns.
 
 Exit status contract: 0 for success or an overall PASS, 1 for FAIL or an
-infeasible answer, 2 for usage and format problems. Output is deterministic
-for identical inputs and flags.
+infeasible answer, 2 for usage and format problems, an input file that is
+not UTF-8 among them. Output is deterministic for identical inputs and
+flags.
 
 Each command loads only the modules it needs: `fuzz` and `partition` import
 the campaign harness and the partition demo in their own bodies, so `solve`,
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import stat
 import sys
 from fractions import Fraction
@@ -43,27 +45,21 @@ def parse_weights_text(text: str) -> tuple[Fraction, ...]:
     """Whitespace-separated rational tokens; `#` comments; blank lines skipped."""
     values: list[Fraction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            end = pos
-            while end < len(line) and not line[end].isspace():
-                end += 1
+        for token in re.finditer(r"\S+", raw.split("#", 1)[0]):
             try:
-                values.append(parse_rational(line[pos:end]))
+                values.append(parse_rational(token.group()))
             except FormatError as exc:
-                raise FormatError(str(exc), line=lineno, column=pos + 1) from None
-            pos = end
+                raise FormatError(str(exc), line=lineno, column=token.start() + 1) from None
     if not values:
         raise FormatError("weights file contains no values")
     return tuple(values)
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _write_over(path: str, text: str) -> None:

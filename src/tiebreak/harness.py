@@ -308,29 +308,19 @@ def _replay_matches(
     both have failed: while a re-run agrees, the recorded sign is its own
     decision, so it fails where a run of its own would. A differing
     functional or a missing record fails both, and each must reach the same
-    depths and use every record. With `step` None the run is over pairs
-    (w_i, s_i) and `stable` is None. A moved weight below zero raises
-    DomainError. No record is built.
+    depths and use every record. With `step` None, m_i is w_i and `stable`
+    is None. A moved weight below zero raises DomainError. No record is
+    built.
     """
     scale, scaled = clear_denominators(vec)
-    if step is None:
-        entry_weights = list(zip(scaled, shadow.entries))
-        weight_add, weight_sub = (
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-            lambda a, b: (a[0] - b[0], a[1] - b[1]),
-        )
-    else:
-        num, den = step.numerator, step.denominator
-        # The moved weights times the positive scale * den, as ints: every
-        # sign the replay takes is the same as at w + step*s itself.
-        moved = [x * den + num * e * scale for x, e in zip(scaled, shadow.entries)]
-        if min(moved) < 0:
-            raise DomainError(f"step {format_rational(step)} makes a weight negative")
-        entry_weights = list(zip(scaled, shadow.entries, moved))
-        weight_add, weight_sub = (
-            lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
-            lambda a, b: (a[0] - b[0], a[1] - b[1], a[2] - b[2]),
-        )
+    # No step is step 0/1: the moved weights are the scaled ones, and only
+    # the explicit re-run is scored.
+    num, den = (0, 1) if step is None else (step.numerator, step.denominator)
+    # The moved weights times the positive scale * den, as ints: every
+    # sign the replay takes is the same as at w + step*s itself.
+    moved = [x * den + num * e * scale for x, e in zip(scaled, shadow.entries)]
+    if min(moved) < 0:
+        raise DomainError(f"step {format_rational(step)} makes a weight negative")
     pending = iter(trace.records)
     explicit = True
     perturbed = step is not None
@@ -364,7 +354,12 @@ def _replay_matches(
         return recorded
 
     try:
-        redone = phase1_depths(entry_weights, weight_add, weight_sub, decide)
+        redone = phase1_depths(
+            list(zip(scaled, shadow.entries, moved)),
+            lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+            lambda a, b: (a[0] - b[0], a[1] - b[1], a[2] - b[2]),
+            decide,
+        )
     except _PathMismatch:
         return False, None if step is None else False
     complete = redone == depths and next(pending, None) is None
@@ -629,7 +624,8 @@ class CampaignConfig:
     n_min: int = 1
     n_max: int = 200
     lipschitz_pairs: int = 0
-    lipschitz_n_max: int = 40
+    #: Largest Lipschitz pair size; None means min(40, n_max).
+    lipschitz_n_max: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
@@ -655,6 +651,8 @@ class CampaignConfig:
                 raise StructureError(f"count for {token} must be >= 0, got {count}")
         if self.lipschitz_pairs < 0:
             raise StructureError(f"lipschitz_pairs must be >= 0, got {self.lipschitz_pairs}")
+        if self.lipschitz_n_max is None:
+            object.__setattr__(self, "lipschitz_n_max", min(40, self.n_max))
         if self.lipschitz_n_max < 1:
             raise StructureError(f"lipschitz_n_max must be >= 1, got {self.lipschitz_n_max}")
 
@@ -712,15 +710,9 @@ def parse_config(text: str) -> CampaignConfig:
             raise FormatError(str(exc), line=lineno) from exc
     if "seed" not in scalars:
         raise FormatError("config must set seed")
-    kwargs: dict = {"seed": scalars["seed"]}
+    kwargs: dict = dict(scalars, counts=tuple(counts[token] for token in sorted(counts)))
     if policies is not None:
         kwargs["policies"] = policies
-    for key in ("n_min", "n_max", "lipschitz_pairs"):
-        if key in scalars:
-            kwargs[key] = scalars[key]
-    kwargs["counts"] = tuple(counts[token] for token in sorted(counts))
-    n_max = kwargs.get("n_max", 200)
-    kwargs["lipschitz_n_max"] = scalars.get("lipschitz_n_max", min(40, n_max))
     try:
         return CampaignConfig(**kwargs)
     except StructureError as exc:

@@ -8,8 +8,8 @@ each entry strictly dominates the sum of all entries to its right.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from operator import itemgetter
 from typing import Sequence
 
 from .core import RationalLike
@@ -21,11 +21,11 @@ NEGATIVE = "negative"
 ORIENTATIONS = (POSITIVE, NEGATIVE)
 
 
-class ShadowVector(tuple):
+class ShadowVector(namedtuple("ShadowVector", "entries")):
     """A direction used to resolve exact ties: entry i perturbs weight i.
 
-    The instance is the 1-tuple (entries,) with a read-only field property,
-    so it is immutable and compares and hashes by value.
+    A named tuple of one field, so it is immutable and compares and hashes
+    by value. Pickle and copy rebuild through the checking constructor.
     """
 
     __slots__ = ()
@@ -34,15 +34,6 @@ class ShadowVector(tuple):
         if not entries:
             raise DomainError("shadow vector must have at least one entry")
         return tuple.__new__(cls, (entries,))
-
-    entries = property(itemgetter(0))
-
-    def __getnewargs__(self) -> tuple:
-        # pickle and copy rebuild through __new__, one argument per field.
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return "ShadowVector(entries={!r})".format(*self)
 
 
 def check_shadow_length(n: int, s: ShadowVector) -> None:

@@ -15,8 +15,8 @@ recompute that rule on their own, so they do not share the solver's code.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from .core import (
@@ -34,7 +34,9 @@ LEFT = "L"
 RIGHT = "R"
 
 
-class ComparisonRecord(tuple):
+class ComparisonRecord(
+    namedtuple("ComparisonRecord", "step functional primary_value realized_sign tie branch")
+):
     """One branching comparison.
 
     `realized_sign` is the sign the solver acted on after tie-breaking, so it
@@ -42,20 +44,17 @@ class ComparisonRecord(tuple):
     shadow had to decide. The branch letter is redundant with the sign and is
     kept because the wire format stores it.
 
-    A record is the tuple (step, functional, primary_value, realized_sign,
-    tie, branch) with read-only field properties. Solvers mint one per
-    comparison and the replay audits compare them one by one, so building a
-    record is a single `tuple.__new__` and equality and hashing are the
-    tuple's, which run in C. Audit loops unpack records as tuples. There is
-    no `_replace`: every record comes from `make` or the validating keyword
-    constructor.
+    A record is a named tuple. Solvers mint one per comparison and the replay
+    audits compare them one by one, so equality and hashing are the tuple's,
+    which run in C, and audit loops unpack records as tuples. The
+    constructor checks that the fields agree; `make`, `_make` and `_replace`
+    trust them. Pickle and copy rebuild through the constructor.
     """
 
     __slots__ = ()
 
     def __new__(
         cls,
-        *,
         step: int,
         functional: LinearFunctional,
         primary_value: Fraction,
@@ -75,13 +74,6 @@ class ComparisonRecord(tuple):
             raise StructureError(f"step {step}: branch {branch!r} contradicts the sign")
         return tuple.__new__(cls, (step, functional, primary_value, realized_sign, tie, branch))
 
-    step = property(itemgetter(0))
-    functional = property(itemgetter(1))
-    primary_value = property(itemgetter(2))
-    realized_sign = property(itemgetter(3))
-    tie = property(itemgetter(4))
-    branch = property(itemgetter(5))
-
     @classmethod
     def make(
         cls, step: int, functional: LinearFunctional, primary: RationalLike, realized: int
@@ -97,21 +89,9 @@ class ComparisonRecord(tuple):
             cls, (step, functional, primary, realized, not primary, LEFT if realized < 0 else RIGHT)
         )
 
-    def __repr__(self) -> str:
-        step, functional, primary_value, realized_sign, tie, branch = self
-        return (
-            f"ComparisonRecord(step={step}, functional={functional!r}, "
-            f"primary_value={primary_value!r}, realized_sign={realized_sign}, "
-            f"tie={tie}, branch={branch!r})"
-        )
 
-
-class DecisionTrace(tuple):
-    """An ordered run of comparison records over an n-entry instance.
-
-    The instance is the tuple (n, records) with read-only field properties;
-    this and the two report classes below follow `ComparisonRecord`.
-    """
+class DecisionTrace(namedtuple("DecisionTrace", "n records")):
+    """An ordered run of comparison records over an n-entry instance."""
 
     __slots__ = ()
 
@@ -133,58 +113,20 @@ class DecisionTrace(tuple):
             expected += 1
         return tuple.__new__(cls, (n, records))
 
-    n = property(itemgetter(0))
-    records = property(itemgetter(1))
 
-    def __getnewargs__(self) -> tuple:
-        # pickle and copy rebuild through __new__, one argument per field.
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return "DecisionTrace(n={!r}, records={!r})".format(*self)
-
-
-class RecordCheck(tuple):
+class RecordCheck(namedtuple("RecordCheck", "step expected_sign ok")):
     """One record's audit: the sign the shadow dictates, and whether it was taken."""
 
     __slots__ = ()
 
-    def __new__(cls, step: int, expected_sign: int, ok: bool):
-        return tuple.__new__(cls, (step, expected_sign, ok))
-
     # `_trusted((step, expected_sign, ok))` builds one from a field tuple.
-    # `verify_policy` makes one per record, and a call through `__new__`
-    # above costs about twice as much.
+    # `verify_policy` makes one per record, and a call through the
+    # generated `__new__` costs about twice as much.
     _trusted = classmethod(tuple.__new__)
 
-    step = property(itemgetter(0))
-    expected_sign = property(itemgetter(1))
-    ok = property(itemgetter(2))
 
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return "RecordCheck(step={!r}, expected_sign={!r}, ok={!r})".format(*self)
-
-
-class VerificationReport(tuple):
-    """Per-record policy audit plus the overall verdict."""
-
-    __slots__ = ()
-
-    def __new__(cls, passed: bool, checks: tuple[RecordCheck, ...], first_failure: int | None):
-        return tuple.__new__(cls, (passed, checks, first_failure))
-
-    passed = property(itemgetter(0))
-    checks = property(itemgetter(1))
-    first_failure = property(itemgetter(2))
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return "VerificationReport(passed={!r}, checks={!r}, first_failure={!r})".format(*self)
+VerificationReport = namedtuple("VerificationReport", "passed checks first_failure")
+VerificationReport.__doc__ = "Per-record policy audit plus the overall verdict."
 
 
 def _audit(

@@ -303,11 +303,31 @@ def test_partition_command(weights_file, capsys) -> None:
 
 
 def test_malformed_weights_report_position(weights_file, capsys) -> None:
-    code = main(["solve", "--weights", weights_file("1\n2 x 3"), "--policy", "leftmost"])
-    captured = capsys.readouterr()
+    # U+3000, the ideographic space, separates tokens as a space does.
+    for space in (" ", "\u3000"):
+        code = main(["solve", "--weights", weights_file(f"1\n2{space}x{space}3"), "--policy", "leftmost"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "line 2" in captured.err
+        assert "column 3" in captured.err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "partition", "verify-trace", "fuzz"])
+def test_non_utf8_input_is_a_format_error(weights_file, tmp_path, capsys, command) -> None:
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1 2\n\xff 3\n")
+    argv = {
+        "solve": ["solve", "--weights", str(bad), "--policy", "leftmost"],
+        "oracle": ["oracle", "--weights", str(bad)],
+        "partition": ["partition", "--weights", str(bad)],
+        "verify-trace": ["verify-trace", "--trace", str(bad), "--weights", weights_file("1 2"), "--orientation", "neg"],
+        "fuzz": ["fuzz", "--config", str(bad), "--out", str(tmp_path / "report.jsonl")],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
     assert code == 2
-    assert "line 2" in captured.err
-    assert "column 3" in captured.err
+    assert f"error: {bad} is not UTF-8 text" in err
+    assert "at byte 4" in err
 
 
 def test_empty_weights_file_is_an_error(weights_file, capsys) -> None:

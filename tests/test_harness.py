@@ -591,6 +591,14 @@ def test_parse_config_full_document() -> None:
     assert config.lipschitz_n_max == 12  # defaults to min(40, n_max)
 
 
+def test_config_text_and_api_share_the_lipschitz_default() -> None:
+    text = "seed = 1\ncount.all-equal = 1\nn_max = 10\nlipschitz_pairs = 3\n"
+    api = CampaignConfig(seed=1, counts=((Family.parse("all-equal"), 1),), n_max=10, lipschitz_pairs=3)
+    assert parse_config(text) == api
+    assert api.lipschitz_n_max == 10
+    assert CampaignConfig(seed=1, counts=()).lipschitz_n_max == 40
+
+
 @pytest.mark.parametrize("text", ["1_0", "\uff15", " 7"])
 def test_parse_int_takes_only_ascii_decimal_digits(text: str) -> None:
     with pytest.raises(FormatError, match="expected an integer"):

@@ -110,8 +110,14 @@ def test_values_are_immutable_and_compare_and_hash_by_value(make, other, field: 
 @pytest.mark.parametrize(
     "cls, fields",
     [
-        # Not a trace with records: a ComparisonRecord neither pickles nor copies.
+        (
+            ComparisonRecord,
+            {"step": 2, "functional": F12, "primary_value": Fraction(0), "realized_sign": -1, "tie": True, "branch": LEFT},
+        ),
         (DecisionTrace, {"n": 2, "records": ()}),
+        pytest.param(
+            DecisionTrace, {"n": 2, "records": (_rec(1), _rec(2, value=-3, realized=-1))}, id="DecisionTrace-records"
+        ),
         (RecordCheck, {"step": 3, "expected_sign": -1, "ok": False}),
         (VerificationReport, {"passed": False, "checks": (RecordCheck(1, 1, False),), "first_failure": 1}),
         (ShadowVector, {"entries": (8, 4, 2)}),
