@@ -33,7 +33,8 @@ items become the record's functional unchanged.
 Two independent oracles ship alongside. The interval dynamic program finds
 the optimal cost in O(n^2): each interval searches only the splits between
 the best splits of its two one-shorter subintervals, the Knuth-Yao window
-(Knuth, Acta Informatica 1 (1971); Yao, STOC 1980). The exhaustive oracle,
+(Knuth, Acta Informatica 1 (1971); Yao, STOC 1980); it fills one
+triangular table row by row, from the bottom. The exhaustive oracle,
 for n <= 12, keeps for each proper sub-interval every cost an ordered tree
 over it can have, with the number of trees that have it, and takes the
 minimum, with its count, over the full interval's trees alone. It never
@@ -523,43 +524,43 @@ def dp_optimal_cost(w: Sequence[RationalLike]) -> Fraction:
     last split attaining the minimum, K(i, j), obeys K(i, j-1) <= K(i, j) <=
     K(i+1, j) (Knuth, Acta Informatica 1 (1971); Yao, STOC 1980), so each
     interval searches only that window, and the windows along one span
-    telescope to O(n). Denominators are cleared once so the loop runs on
+    j - i telescope to O(n). Rows fill from the bottom, i descending and j
+    ascending, so K(i, j-1) was just found and K(i+1, j) comes from the row
+    below. One triangular table holds the costs, column j indexed by split
+    k as cost(k+1, j); the row being filled is one more list, indexed by k
+    as cost(i, k). Denominators are cleared once so the loop runs on
     machine-or-big ints only.
     """
     vec = require_nonnegative_weights(w)
     n = len(vec)
     scale, scaled = clear_denominators(vec)
-    if n == 1:
-        return Fraction(0)
     prefix = [0, *accumulate(scaled)]
-    # rows[i][j] and cols[j][i] both hold cost(i, j), 1-based.
-    rows = [[0] * (n + 1) for _ in range(n + 2)]
-    cols = [[0] * (n + 2) for _ in range(n + 1)]
-    for i in range(1, n):
-        rows[i][i + 1] = cols[i + 1][i] = scaled[i - 1] + scaled[i]
-    # root[i] is K of the previous span's interval starting at i; each
-    # interval reads root[i] and root[i+1] before it overwrites root[i].
-    root = list(range(n + 1))
-    for span in range(3, n + 1):
-        for i in range(1, n - span + 2):
-            j = i + span - 1
-            row_i = rows[i]
-            col_j = cols[j]
-            first = root[i]
-            split = k = root[i + 1]
-            best = row_i[k] + col_j[k + 1]
+    # cols[j][k] = cost(k+1, j) and row[k] = cost(i, k), 1-based; each list
+    # starts with the zeros cost(k, k) = 0 needs.
+    cols = [[0] * j for j in range(n + 1)]
+    row = [0] * (n + 1)
+    # roots[j] is K(i+1, j) until row i overwrites it with K(i, j); the
+    # initial roots[i+1] = i bounds the one split of (i, i+1).
+    roots = list(range(-1, n))
+    for i in range(n - 1, 0, -1):
+        before = i - 1  # cost(i, j) is the right part of split i - 1
+        base = prefix[before]
+        left = i  # K(i, j-1), and the lowest split for j = i + 1
+        for j, col, k, total in zip(
+            range(i + 1, n + 1), cols[i + 1 :], roots[i + 1 :], prefix[i + 1 :]
+        ):
+            split = k
+            best = row[k] + col[k]
             # Right to left with a strict test keeps the last minimizing split.
-            while k > first:
+            while k > left:
                 k -= 1
-                value = row_i[k] + col_j[k + 1]
+                value = row[k] + col[k]
                 if value < best:
                     best = value
                     split = k
-            root[i] = split
-            value = best + prefix[j] - prefix[i - 1]
-            row_i[j] = value
-            col_j[i] = value
-    return Fraction(rows[1][n], scale)
+            roots[j] = left = split
+            row[j] = col[before] = best + total - base
+    return Fraction(cols[n][0], scale)
 
 
 def enumerate_trees(n: int) -> Iterator[Tree]:

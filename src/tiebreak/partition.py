@@ -31,15 +31,16 @@ def partition_value(assignment: Assignment, w: Sequence[RationalLike]) -> Fracti
     """Absolute difference of the two side sums."""
     if len(assignment) != len(w):
         raise StructureError(f"assignment covers {len(assignment)} indices but instance has {len(w)}")
-    diff = Fraction(0)
-    for side, weight in zip(assignment, w):
+    scale, scaled = clear_denominators(w)
+    diff = 0
+    for side, weight in zip(assignment, scaled):
         if side == 1:
-            diff += Fraction(weight)
+            diff += weight
         elif side == 2:
-            diff -= Fraction(weight)
+            diff -= weight
         else:
             raise StructureError(f"assignment sides must be 1 or 2, got {side!r}")
-    return abs(diff)
+    return Fraction(abs(diff), scale)
 
 
 def brute_force_partition(w: Sequence[RationalLike]) -> Fraction:

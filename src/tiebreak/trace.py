@@ -62,8 +62,8 @@ class ComparisonRecord(
         tie: bool,
         branch: str,
     ):
-        if step < 1:
-            raise StructureError(f"step must be >= 1, got {step}")
+        if not isinstance(step, int) or isinstance(step, bool) or step < 1:
+            raise StructureError(f"step must be an integer >= 1, got {step!r}")
         if realized_sign not in (-1, 1):
             raise StructureError(f"realized sign must be -1 or +1, got {realized_sign}")
         if tie != (primary_value == 0):
@@ -342,9 +342,6 @@ def load_trace(text: str, n: int) -> DecisionTrace:
 def _record_from_obj(
     obj: dict, coeff_memo: dict[str, RationalLike], value_memo: dict[str, Fraction]
 ) -> ComparisonRecord:
-    step = obj["step"]
-    if not isinstance(step, int) or isinstance(step, bool):
-        raise FormatError(f"step must be an integer, got {step!r}")
     raw_coeffs = obj["coeffs"]
     if not isinstance(raw_coeffs, dict):
         raise FormatError("coeffs must be a map from index to rational text")
@@ -380,7 +377,7 @@ def _record_from_obj(
         raise FormatError(f"branch must be {LEFT!r} or {RIGHT!r}, got {branch!r}")
     realized = -1 if branch == LEFT else 1
     record = ComparisonRecord(
-        step=step,
+        step=obj["step"],
         functional=LinearFunctional(coeffs),
         primary_value=value,
         realized_sign=realized,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
@@ -187,6 +188,20 @@ def _equal_weight_optimum(n: int) -> tuple[int, int]:
 @pytest.mark.parametrize("n", [*range(1, 65), 255, 256, 257, 500, 1000])
 def test_dp_equal_weights_closed_form(n: int) -> None:
     assert dp_optimal_cost([1] * n) == _equal_weight_optimum(n)[0]
+
+
+def test_dp_peak_memory_per_interval() -> None:
+    # One triangular table of costs took about 34 bytes per interval at
+    # n = 400; a square table per direction took about 58.
+    n = 400
+    weights = [1] * n
+    tracemalloc.start()
+    try:
+        dp_optimal_cost(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * (n + 1) // 2) < 45
 
 
 @pytest.mark.parametrize("n", range(1, ENUMERATION_CAP + 1))

@@ -39,6 +39,23 @@ def test_partition_value_is_absolute_difference() -> None:
         partition_value((1, 2, 3), w)
 
 
+def _fraction_sum_value(assignment, w) -> Fraction:
+    """Reference: one Fraction added or subtracted per index."""
+    diff = Fraction(0)
+    for side, weight in zip(assignment, w):
+        diff += Fraction(weight) if side == 1 else -Fraction(weight)
+    return abs(diff)
+
+
+def test_partition_value_matches_fraction_sum() -> None:
+    rng = random.Random("partition-value")
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        w = tuple(Fraction(rng.choice((0, 0, 1, 3, 7, 12)), rng.choice((1, 2, 3, 8))) for _ in range(n))
+        assignment = tuple(rng.choice((1, 2)) for _ in range(n))
+        assert partition_value(assignment, w) == _fraction_sum_value(assignment, w)
+
+
 def test_brute_force_frozen_values() -> None:
     assert brute_force_partition((3, 1, 1, 2, 2, 1)) == 0
     assert brute_force_partition((1, 2, 4)) == 1

@@ -67,6 +67,9 @@ def test_record_rejects_inconsistent_fields() -> None:
     ComparisonRecord(**good)
     for bad in (
         {**good, "step": 0},
+        # A bool or float step would dump as a step the loader cannot read back.
+        {**good, "step": True},
+        {**good, "step": 1.0},
         {**good, "realized_sign": 0},
         {**good, "tie": True},
         {**good, "branch": LEFT},
