@@ -141,11 +141,21 @@ def tree_cost(tree: Tree, w: Sequence[RationalLike]) -> Fraction:
 
 
 def format_tree(tree: Tree) -> str:
-    """Render as leaf names and parenthesized pairs: ((b1 b2) b3)."""
-    if isinstance(tree, int):
-        return f"b{tree}"
-    left, right = tree
-    return f"({format_tree(left)} {format_tree(right)})"
+    """Render as leaf names and parenthesized pairs: ((b1 b2) b3).
+
+    Walks an explicit stack, so a tree of any depth renders.
+    """
+    out: list[str] = []
+    # Subtrees still to render, and the texts that go between them.
+    stack: list[Tree | str] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            out.append("(")
+            stack += (")", node[1], " ", node[0])
+        else:
+            out.append(node if isinstance(node, str) else f"b{node}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,12 @@
 The solver's guarantees are exercised exactly where naive implementations
 break: all-equal weights, repeated blocks, sprinkled zeros, tied pair sums,
 palindromes. `check_instance` runs one weight vector through the full
-gauntlet (solve, reconstruct, compare against the DP oracle, audit the
-trace, then one replay of the combine loop that scores both the explicit
-two-component re-run and the re-run at the perturbed instance) and
-`run_campaign` drives thousands of such checks from a single integer seed,
-byte-reproducibly. The campaign also settles, by experiment against a
-direct positional implementation, which shadow orientation realizes which
-tie policy.
+gauntlet (solve, reconstruct, compare against the DP oracle, audit each
+record of the trace, then one replay of the combine loop at the perturbed
+instance that checks the decision path) and `run_campaign` drives
+thousands of such checks from a single integer seed, byte-reproducibly.
+The campaign also settles, by experiment against a direct positional
+implementation, which shadow orientation realizes which tie policy.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 from typing import Sequence
 
 from .alphabetic import (
@@ -297,24 +297,18 @@ def _replay_matches(
     depths: tuple[int, ...],
     trace: DecisionTrace,
 ) -> tuple[bool, bool | None]:
-    """Replay phase 1 once and score two re-runs on it: (equivalent, stable).
+    """Replay phase 1 along the recorded signs: (repeats, stable).
 
-    The combine loop runs over triples (w_i, s_i, m_i), m_i weight i of
-    w + step*s, and follows the recorded realized signs. At each comparison
-    the explicit re-run must match the record by the lexicographic sign of
-    (diff, drift), the tie flag and the value; the perturbed re-run must
-    give the recorded sign strictly, on the moved diff. A re-run that
-    disagrees fails and is checked no further, and the replay stops once
-    both have failed: while a re-run agrees, the recorded sign is its own
-    decision, so it fails where a run of its own would. A differing
-    functional or a missing record fails both, and each must reach the same
-    depths and use every record. With `step` None, m_i is w_i and `stable`
-    is None. A moved weight below zero raises DomainError. No record is
-    built.
+    The combine loop runs over m_i, weight i of w + step*s. `repeats`: each
+    comparison has the next record's functional, and the run reaches the
+    same depths and uses every record. `stable`: besides, each moved diff
+    has the recorded sign strictly, so a run of its own at w + step*s makes
+    the same decisions. With `step` None, m_i is w_i and `stable` is None.
+    Values, ties and signs at w are the audit's, not checked here. A moved
+    weight below zero raises DomainError. No record is built.
     """
     scale, scaled = clear_denominators(vec)
-    # No step is step 0/1: the moved weights are the scaled ones, and only
-    # the explicit re-run is scored.
+    # No step is step 0/1: the moved weights are the scaled ones.
     num, den = (0, 1) if step is None else (step.numerator, step.denominator)
     # The moved weights times the positive scale * den, as ints: every
     # sign the replay takes is the same as at w + step*s itself.
@@ -322,48 +316,24 @@ def _replay_matches(
     if min(moved) < 0:
         raise DomainError(f"step {format_rational(step)} makes a weight negative")
     pending = iter(trace.records)
-    explicit = True
-    perturbed = step is not None
-    # diff -> a recorded value already found equal to diff / scale.
-    agreed: dict = {}
+    stable = step is not None
 
     def decide(items, diff) -> int:
-        nonlocal explicit, perturbed
+        nonlocal stable
         record = next(pending, None)
-        if record is None:
+        if record is None or record[1] != tuple(items):
             raise _PathMismatch
-        _, functional, value, recorded, tie, _ = record
-        if functional != tuple(items):
-            raise _PathMismatch
-        if explicit:
-            d = diff[0]
-            lead = d or diff[1]
-            if not lead or (1 if lead > 0 else -1) != recorded or tie != (not d):
-                explicit = False
-            elif agreed.get(d) is not value:
-                if d * value.denominator == value.numerator * scale:
-                    agreed[d] = value
-                else:
-                    explicit = False
-        if perturbed:
-            m = diff[2]
-            if not m or (1 if m > 0 else -1) != recorded:
-                perturbed = False
-        if not (explicit or perturbed):
-            raise _PathMismatch
+        recorded = record[3]
+        # A moved tie has sign 0, which is never the recorded sign.
+        if (diff > 0) - (diff < 0) != recorded:
+            stable = False
         return recorded
 
     try:
-        redone = phase1_depths(
-            list(zip(scaled, shadow.entries, moved)),
-            lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
-            lambda a, b: (a[0] - b[0], a[1] - b[1], a[2] - b[2]),
-            decide,
-        )
+        repeats = phase1_depths(moved, add, sub, decide) == depths and next(pending, None) is None
     except _PathMismatch:
-        return False, None if step is None else False
-    complete = redone == depths and next(pending, None) is None
-    return explicit and complete, None if step is None else perturbed and complete
+        repeats = False
+    return repeats, None if step is None else stable and repeats
 
 
 def check_instance(
@@ -379,16 +349,18 @@ def check_instance(
 
     Checks: the depth sequence reconstructs (feasibility), the tree cost
     matches the DP oracle (optimality), the trace passes the policy audit
-    (one `stability_witness` pass, which also bounds the witness), the
-    explicit two-component re-run makes every recorded decision, and
-    re-solving at the stability witness repeats the decision path tie-free.
-    One replay of the combine loop, `_replay_matches`, scores both re-runs:
-    it checks each decision against the trace as it makes it and builds no
-    records. Failures are recorded, never raised. When the witness step
-    would leave the nonnegative domain (possible with the negative
-    orientation) the perturbed re-run is clamped to the largest admissible
-    step, and at boundary points with no admissible step it is skipped;
-    both cases are labeled, not failed.
+    (one `stability_witness` pass, which checks every record against
+    (w, s) and bounds the witness), the explicit two-component re-run
+    makes every recorded decision (equivalence), and re-solving at the
+    stability witness repeats the decision path tie-free (stability). One
+    replay of the combine loop, `_replay_matches`, checks the path as it
+    goes and builds no records; equivalence is the audit and that path
+    together. Failures are recorded, never raised, except a corrupt trace
+    record, a wrong value or tie flag, which raises CorruptTraceError. When
+    the witness step would leave the nonnegative domain (possible with the
+    negative orientation) the perturbed re-run is clamped to the largest
+    admissible step, and at boundary points with no admissible step it is
+    skipped; both cases are labeled, not failed.
     """
     vec = require_nonnegative_weights(w)
     n = len(vec)
@@ -425,7 +397,10 @@ def check_instance(
         else:
             step = witness if cap is None or witness <= cap else cap
             stability_mode = "witness" if step == witness else "clamped"
-    equivalent, stable = _replay_matches(vec, shadow, step, depths, trace)
+    repeats, stable = _replay_matches(vec, shadow, step, depths, trace)
+    # The audit checked each record against its functional at (w, s), and the
+    # replay checked that the functionals are the combine loop's.
+    equivalent = policy_verified and repeats
     if step is not None:
         stability = "pass" if stable else "fail"
 
@@ -721,8 +696,10 @@ def parse_config(text: str) -> CampaignConfig:
 
 #: Sampling weight per size bit-length; larger sizes get rarer because an
 #: instance's certification cost grows faster than its size, and the few
-#: largest instances would otherwise dominate the campaign's runtime.
-_SIZE_BIT_WEIGHTS = (8, 8, 7, 6, 5, 3, 1.5, 0.5)
+#: largest instances would otherwise dominate the campaign's runtime. Only
+#: the ratios matter: `random.choices` draws the same sizes from any
+#: power-of-two multiple, so these are integers.
+_SIZE_BIT_WEIGHTS = (16, 16, 14, 12, 10, 6, 3, 1)
 
 
 def _sample_size(rng: random.Random, index: int, n_min: int, n_max: int) -> int:
@@ -737,7 +714,7 @@ def _sample_size(rng: random.Random, index: int, n_min: int, n_max: int) -> int:
     hi_bits = n_max.bit_length()
     bits = range(lo_bits, hi_bits + 1)
     weights = [
-        _SIZE_BIT_WEIGHTS[b - 1] if b <= len(_SIZE_BIT_WEIGHTS) else 0.5 for b in bits
+        _SIZE_BIT_WEIGHTS[b - 1] if b <= len(_SIZE_BIT_WEIGHTS) else 1 for b in bits
     ]
     k = rng.choices(bits, weights=weights)[0]
     return rng.randint(max(n_min, 1 << (k - 1)), min(n_max, (1 << k) - 1))

@@ -2,10 +2,11 @@
 
 A trace captures every branching comparison as (functional, value, sign,
 branch). Auditing re-evaluates each functional against the instance: a
-mismatch with the recorded value means the trace is corrupt, while a sign
-that contradicts the shadow direction means the solver did not follow the
-claimed tie policy. A verified trace also yields a concrete step bound
-below which the whole decision path is insensitive to perturbation.
+mismatch with the recorded value or tie flag means the trace is corrupt,
+while a sign that contradicts the shadow direction means the solver did
+not follow the claimed tie policy. A verified trace also yields a concrete
+step bound below which the whole decision path is insensitive to
+perturbation.
 
 Every solver branches through `recorder`, the single symbolic-perturbation
 decision rule, which also numbers and emits the records. The audits
@@ -136,12 +137,13 @@ def _audit(
 
     Each functional is evaluated once at the denominator-cleared weights,
     giving raw = f(w) * scale, and once on the shadow, giving the drift
-    f(s). A raw value that disagrees with the recorded one raises
-    CorruptTraceError. Returns the sign the policy dictates for each record
-    (the sign of raw, on a tie the sign of the drift), the first step whose
-    realized sign differs from it (None when none does), the witness bound
-    min |f(w)| / (|f(s)| + 1) over the records with f(w) != 0 (1 when there
-    are none), the (raw, drift) pairs and the scale.
+    f(s). A raw value that disagrees with the recorded one, or a tie flag
+    that disagrees with raw == 0, raises CorruptTraceError. Returns the
+    sign the policy dictates for each record (the sign of raw, on a tie the
+    sign of the drift), the first step whose realized sign differs from it
+    (None when none does), the witness bound min |f(w)| / (|f(s)| + 1) over
+    the records with f(w) != 0 (1 when there are none), the (raw, drift)
+    pairs and the scale.
     """
     if len(w) != trace.n:
         raise StructureError(f"trace is over {trace.n} weights but instance has {len(w)}")
@@ -161,7 +163,7 @@ def _audit(
     # traces share one Fraction per distinct value, so most records skip
     # the cross-multiplication.
     agreed: dict = {}
-    for step, f, recorded, realized, _, _ in trace.records:
+    for step, f, recorded, realized, tie, _ in trace.records:
         raw = drift = 0
         for i, c in f:
             raw += c * at_w[i]
@@ -174,6 +176,8 @@ def _audit(
                     f"but re-evaluation gives {format_rational(Fraction(raw, scale))}"
                 )
             agreed[raw] = recorded
+        if tie != (not raw):
+            raise CorruptTraceError(f"step {step}: tie flag contradicts the re-evaluated value")
         # The rule `recorder` applies (primary sign, shadow on a tie),
         # recomputed here so that the audit does not trust the solver's.
         if raw:
@@ -196,8 +200,9 @@ def verify_policy(trace: DecisionTrace, w: Sequence[RationalLike], s: ShadowVect
     """Audit a trace against its instance and a shadow direction.
 
     Each functional is re-evaluated at w. Disagreement with the recorded
-    value raises CorruptTraceError; an otherwise intact record fails when its
-    realized sign differs from the sign the shadow direction dictates.
+    value, or a tie flag that contradicts the re-evaluated value, raises
+    CorruptTraceError; an otherwise intact record fails when its realized
+    sign differs from the sign the shadow direction dictates.
     """
     expected_signs, first_failure, _, _, _ = _audit(trace, w, s)
     check = RecordCheck._trusted
@@ -222,9 +227,9 @@ def stability_witness(
     the audit runs in the same pass as the bound, and a trace that fails it
     raises PolicyMismatchError. With verified=True that error is not raised
     and the re-evaluation below rejects such a trace instead. A corrupt
-    recorded value raises CorruptTraceError either way. The bound is the
-    minimum of |value| / (|f(s)| + 1) over non-tie records and 1 when every
-    comparison was a tie (or the trace is empty).
+    recorded value or tie flag raises CorruptTraceError either way. The
+    bound is the minimum of |value| / (|f(s)| + 1) over non-tie records and
+    1 when every comparison was a tie (or the trace is empty).
     """
     _, first_failure, witness, terms, scale = _audit(trace, w, s)
     if first_failure is not None and not verified:

@@ -139,8 +139,9 @@ def test_impossible_depths_rejected_and_produced_depths_rebuild(campaign, criter
 def test_policy_runs_match_explicit_shadow_arithmetic(campaign, criterion) -> None:
     with criterion("symbolic-equivalence"):
         report, _ = campaign
-        # A tie surviving the two-component comparison would abort the
-        # explicit run, so equivalence also certifies tie-freeness.
+        # Equivalence is the audit (each record's lexicographic sign of
+        # (f(w), f(s)), which a surviving tie would fail) and the replayed
+        # path together, so it also certifies tie-freeness.
         assert all(v.equivalent for v in report.instances)
         assert report.binding_error is None
         assert report.binding is not None

@@ -57,6 +57,24 @@ def test_leaf_order_and_validation() -> None:
         validate_tree((2, 1))
 
 
+def _format_tree_recursively(tree) -> str:
+    """`format_tree` as first written, recursing on each subtree."""
+    if isinstance(tree, int):
+        return f"b{tree}"
+    left, right = tree
+    return f"({_format_tree_recursively(left)} {_format_tree_recursively(right)})"
+
+
+def test_format_tree_matches_the_recursive_form() -> None:
+    for n in range(1, 9):
+        for tree in enumerate_trees(n):
+            assert format_tree(tree) == _format_tree_recursively(tree)
+    rng = random.Random("format-tree")
+    for _ in range(50):
+        tree = hu_tucker(_random_vector(rng, rng.randint(9, 60)), LEFTMOST)[0]
+        assert format_tree(tree) == _format_tree_recursively(tree)
+
+
 def test_tree_depths_and_cost() -> None:
     tree = ((1, 2), 3)
     assert tree_depths(tree) == (2, 2, 1)

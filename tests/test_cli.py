@@ -110,6 +110,23 @@ def test_reconstruct_round_trip_and_infeasible(capsys) -> None:
     assert "error:" in capsys.readouterr().err
 
 
+def test_caterpillar_trees_of_1200_leaves_print(weights_file, capsys) -> None:
+    # Each tree is 1,199 levels deep, past Python's default recursion limit.
+    n = 1200
+    code = main(["solve", "--weights", weights_file(" ".join(str(1 << i) for i in range(n))),
+                 "--policy", "leftmost"])
+    # Weight 2^(i-1) at leaf i: every combine takes the running node and the
+    # next leaf, so leaves 1 and 2 sit at depth n - 1 and leaf k at n + 1 - k.
+    tree = "(" * (n - 1) + "b1 b2)" + "".join(f" b{k})" for k in range(3, n + 1))
+    cost = (n - 1) + sum((n + 1 - k) << (k - 1) for k in range(2, n + 1))
+    assert (code, capsys.readouterr().out) == (0, f"{tree}\ncost = {cost}\n")
+
+    depths = ",".join(map(str, [*range(1, n), n - 1]))
+    assert main(["reconstruct", "--depths", depths]) == 0
+    tree = "".join(f"(b{k} " for k in range(1, n)) + f"b{n}" + ")" * (n - 1)
+    assert capsys.readouterr().out == f"{tree}\n"
+
+
 @pytest.mark.parametrize("depths", ["2, 2, 1", "2 2 1", " 2 ,2\t1 "])
 def test_reconstruct_separates_depths_by_commas_or_whitespace(depths, capsys) -> None:
     assert main(["reconstruct", "--depths", depths]) == 0

@@ -22,7 +22,7 @@ from tiebreak.alphabetic import (
     phase1_explicit_shadow,
 )
 from tiebreak.core import LinearFunctional, clear_denominators, format_rational
-from tiebreak.errors import DomainError, FormatError, StructureError
+from tiebreak.errors import CorruptTraceError, DomainError, FormatError, StructureError
 from tiebreak.harness import (
     ALL_EQUAL,
     DEGENERATE_FAMILIES,
@@ -36,6 +36,7 @@ from tiebreak.harness import (
     Family,
     _parse_int,
     _replay_matches,
+    _sample_size,
     check_instance,
     check_lipschitz,
     generate,
@@ -50,7 +51,14 @@ from tiebreak.perturb import (
     dyadic_shadow,
     max_step_in_domain,
 )
-from tiebreak.trace import LEFT, RIGHT, ComparisonRecord, DecisionTrace, stability_witness
+from tiebreak.trace import (
+    LEFT,
+    RIGHT,
+    ComparisonRecord,
+    DecisionTrace,
+    stability_witness,
+    verify_policy,
+)
 
 
 # -- families ---------------------------------------------------------------
@@ -423,6 +431,20 @@ def _perturbed_reference(w, s, step, depths, trace) -> bool:
     return _path_repeats(moved, add, sub, decide, depths, pending)
 
 
+def _audit_passes(w, s, trace) -> bool:
+    """verify_policy's verdict, with a corrupt trace counted as not passed."""
+    try:
+        return verify_policy(trace, w, s).passed
+    except CorruptTraceError:
+        return False
+
+
+def _certified(w, s, step, depths, trace) -> tuple[bool, bool | None]:
+    """What check_instance reads: (audit passes and path repeats, stable)."""
+    repeats, stable = _replay_matches(w, s, step, depths, trace)
+    return _audit_passes(w, s, trace) and repeats, stable
+
+
 def _replay_steps(w, s, trace) -> list[Fraction | None]:
     """No step, the step `check_instance` would replay at, and 7 times that step."""
     witness = stability_witness(trace, w, s)
@@ -434,9 +456,11 @@ def _replay_steps(w, s, trace) -> list[Fraction | None]:
 
 
 def test_replay_matches_the_two_reference_replays() -> None:
-    # One combined replay must give exactly the two separate replays'
-    # verdicts, on every family, size and policy, on the solve's trace and
-    # on each forgery, with no step, at the replayed step and past it.
+    # The audit and the one replay together must give exactly the two
+    # separate replays' verdicts, on every family, size and policy, on the
+    # solve's trace and on each forgery, with no step, at the replayed step
+    # and past it. The audit checks each record and the replay the path, so
+    # neither alone gives the explicit replay's verdict.
     outcomes: Counter = Counter()
     for name in FAMILY_NAMES:
         for n in range(1, 41):
@@ -462,7 +486,7 @@ def test_replay_matches_the_two_reference_replays() -> None:
                                     _replay_matches(w, s, step, depths, case)
                                 outcomes["domain"] += 1
                                 continue
-                        got = _replay_matches(w, s, step, depths, case)
+                        got = _certified(w, s, step, depths, case)
                         assert got == expected, (name, n, policy, step)
                         outcomes[got] += 1
     assert {(a, b) for a in (True, False) for b in (True, False)} <= set(outcomes)
@@ -471,9 +495,10 @@ def test_replay_matches_the_two_reference_replays() -> None:
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_explicit_replay_agrees_with_the_record_stream_comparison(name: str) -> None:
-    # The in-place replay must give the verdict that comparing the records
-    # phase1_explicit_shadow emits with the solve's gives: on the solve's
-    # own trace, on an equal copy built from fresh objects, and on forgeries.
+    # The audit and the in-place replay together must give the verdict that
+    # comparing the records phase1_explicit_shadow emits with the solve's
+    # gives: on the solve's own trace, on an equal copy built from fresh
+    # objects, and on forgeries.
     family = Family(name)
     for n in range(1, 41):
         w = generate(family, n, "in-place")
@@ -483,7 +508,7 @@ def test_explicit_replay_agrees_with_the_record_stream_comparison(name: str) -> 
             if len(trace.records) >= 2 and n % 3 == 1:
                 cases += _forgeries(trace).values()
             for case in cases:
-                equivalent, stable = _replay_matches(w, s, None, depths, case)
+                equivalent, stable = _certified(w, s, None, depths, case)
                 assert stable is None
                 assert equivalent == _stream_matches(w, s, depths, case)
             assert _replay_matches(w, s, None, depths, trace) == (True, None)
@@ -494,10 +519,11 @@ def test_forged_traces_fail_the_replays(kind: str) -> None:
     w = generate(Family(PAIR_SUM_TIES), 16, "forged")
     s, depths, trace = _solve(w, RIGHTMOST)
     witness = stability_witness(trace, w, s)
-    assert _replay_matches(w, s, witness, depths, trace) == (True, True)
-    equivalent, stable = _replay_matches(w, s, witness, depths, _forgeries(trace)[kind])
+    assert _certified(w, s, witness, depths, trace) == (True, True)
+    equivalent, stable = _certified(w, s, witness, depths, _forgeries(trace)[kind])
     assert not equivalent
-    # The perturbed replay checks the path, not values or tie flags.
+    # The perturbed replay checks the path, not values or tie flags: the
+    # audit rejects those.
     assert stable == (kind in ("value", "tie-flag"))
 
 
@@ -521,7 +547,7 @@ def test_perturbed_replay_fails_where_the_path_ties(policy: str) -> None:
     witness = stability_witness(trace, w, s)
     assert witness < first
     assert _replay_matches(w, s, witness, depths, trace) == (True, True)
-    # The explicit replay is scored on to the end after the perturbed one fails.
+    # The path is replayed to the end after the moved signs fail.
     assert _replay_matches(w, s, first, depths, trace) == (True, False)
 
 
@@ -648,6 +674,31 @@ def _tiny_config() -> CampaignConfig:
         lipschitz_pairs=4,
         lipschitz_n_max=6,
     )
+
+
+def _sample_size_with_float_weights(rng, index, n_min, n_max):
+    """`_sample_size` with the float weights it was first written with."""
+    if n_min == n_max:
+        return n_min
+    if index == 0:
+        return n_max
+    if index == 1:
+        return n_min
+    table = (8, 8, 7, 6, 5, 3, 1.5, 0.5)
+    bits = range(n_min.bit_length(), n_max.bit_length() + 1)
+    weights = [table[b - 1] if b <= len(table) else 0.5 for b in bits]
+    k = rng.choices(bits, weights=weights)[0]
+    return rng.randint(max(n_min, 1 << (k - 1)), min(n_max, (1 << k) - 1))
+
+
+def test_sample_size_draws_the_sizes_the_float_weights_drew() -> None:
+    # The integer weights are the float ones doubled. Doubling is exact in
+    # binary floating point, so `random.choices` picks the same bit-length.
+    for n_min, n_max in [(1, 200), (1, 40), (5, 9), (3, 1000), (200, 5000)]:
+        for index in range(300):
+            seed = f"sizes|{n_min}|{n_max}|{index}"
+            got = _sample_size(random.Random(seed), index, n_min, n_max)
+            assert got == _sample_size_with_float_weights(random.Random(seed), index, n_min, n_max)
 
 
 def test_campaign_counts_and_ordering() -> None:

@@ -50,6 +50,19 @@ def test_no_assert_statements_in_the_package() -> None:
     assert found == []
 
 
+def test_no_float_or_complex_literals_or_float_calls_in_the_package() -> None:
+    # The package is exact: every number is an int or a Fraction.
+    modules = sorted(Path(tiebreak.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
+    ]
+    assert found == []
+
+
 def test_every_exported_name_resolves_once() -> None:
     # A name left in __all__ after its definition is gone breaks
     # `from tiebreak import *`.

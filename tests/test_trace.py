@@ -386,6 +386,21 @@ def test_verify_policy_detects_corrupt_values() -> None:
         verify_policy(bad, vec, s)
 
 
+@pytest.mark.parametrize("tie", [True, False])
+def test_verify_policy_detects_a_tie_flag_its_value_contradicts(tie: bool) -> None:
+    # `_replace` trusts its fields, as a forged trace would. Flip the flag of
+    # the first record whose flag is `not tie`, past step 1.
+    vec, s, _, trace = _solve((1, 1, 2, 1, 1, 3), LEFTMOST)
+    k = next(j for j, r in enumerate(trace.records) if j and r.tie is not tie)
+    records = list(trace.records)
+    records[k] = records[k]._replace(tie=tie)
+    bad = DecisionTrace(n=trace.n, records=tuple(records))
+    with pytest.raises(CorruptTraceError, match=f"step {k + 1}: tie flag contradicts"):
+        verify_policy(bad, vec, s)
+    with pytest.raises(CorruptTraceError, match=f"step {k + 1}: tie flag contradicts"):
+        stability_witness(bad, vec, s, verified=True)
+
+
 def test_verify_policy_checks_dimensions() -> None:
     vec, s, _, trace = _solve((1, 2, 3), LEFTMOST)
     with pytest.raises(StructureError):
