@@ -84,7 +84,8 @@ def require_nonnegative_weights(values: Iterable[RationalLike]) -> tuple[Fractio
     if not w:
         raise StructureError("weight vector must have at least one entry")
     for i, x in enumerate(w, start=1):
-        if x < 0:
+        # An int comparison, done in C; `x < 0` on a Fraction runs Python code.
+        if x.numerator < 0:
             raise DomainError(f"weight {i} is negative: {format_rational(x)}")
     return w
 
@@ -106,8 +107,8 @@ class LinearFunctional(tuple):
     The instance is the tuple of its signed items: the nonzero (index,
     coefficient) pairs in increasing 1-based index order, zero coefficients
     dropped at construction. Equality and hashing are the tuple's, so they
-    are structural on the support and run in C; solvers mint one functional
-    per comparison, and the replay audits compare them record by record.
+    are structural on the support and run in C; solvers mint one per
+    comparison, unchecked, and the replay audits compare them by record.
     Instances are immutable and carry no `__dict__`.
     """
 
@@ -129,11 +130,6 @@ class LinearFunctional(tuple):
             if a == b:
                 raise StructureError(f"duplicate functional index {a}")
         return tuple.__new__(cls, items)
-
-    # Solver-internal fast path, `_trusted(items)`: the items must already be
-    # sorted, duplicate free, zero free, and 1-based. The validating
-    # constructor costs more than the comparison loops it sits in can afford.
-    _trusted = classmethod(tuple.__new__)
 
     def items(self) -> tuple[tuple[int, RationalLike], ...]:
         """Nonzero (index, coefficient) pairs in increasing index order.

@@ -17,6 +17,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import add, sub
 from typing import Sequence
@@ -44,7 +45,7 @@ from .core import (
     parse_rational,
     require_nonnegative_weights,
 )
-from .errors import DomainError, FormatError, PolicyMismatchError, StructureError
+from .errors import DomainError, FormatError, StructureError
 from .perturb import (
     NEGATIVE,
     POSITIVE,
@@ -53,7 +54,7 @@ from .perturb import (
     dyadic_shadow,
     max_step_in_domain,
 )
-from .trace import DecisionTrace, stability_witness
+from .trace import DecisionTrace, _audit, _confirm_witness
 
 #: Brute-force cross-checks stop here; the DP oracle carries on alone above.
 ORACLE_CAP = 11
@@ -349,18 +350,20 @@ def check_instance(
 
     Checks: the depth sequence reconstructs (feasibility), the tree cost
     matches the DP oracle (optimality), the trace passes the policy audit
-    (one `stability_witness` pass, which checks every record against
-    (w, s) and bounds the witness), the explicit two-component re-run
-    makes every recorded decision (equivalence), and re-solving at the
-    stability witness repeats the decision path tie-free (stability). One
-    replay of the combine loop, `_replay_matches`, checks the path as it
-    goes and builds no records; equivalence is the audit and that path
-    together. Failures are recorded, never raised, except a corrupt trace
-    record, a wrong value or tie flag, which raises CorruptTraceError. When
-    the witness step would leave the nonnegative domain (possible with the
-    negative orientation) the perturbed re-run is clamped to the largest
-    admissible step, and at boundary points with no admissible step it is
-    skipped; both cases are labeled, not failed.
+    (one `trace._audit` pass, which checks every record against (w, s) and
+    bounds the witness), the combine loop makes every recorded comparison
+    (equivalence), and re-solving at the stability witness repeats the
+    decision path tie-free (stability). One replay of the combine loop,
+    `_replay_matches`, checks the path as it goes and builds no records;
+    equivalence is the audit and that path together. Unless that replay
+    ran at the witness and was stable, the witness's own re-evaluation
+    (as in `stability_witness`) runs too, and a witness that fails it
+    raises StructureError. Failures are recorded, never raised, except a
+    corrupt trace record, a wrong value or tie flag, which raises
+    CorruptTraceError. When the witness step would leave the nonnegative
+    domain (possible with the negative orientation) the perturbed re-run is
+    clamped to the largest admissible step, and at boundary points with no
+    admissible step it is skipped; both cases are labeled, not failed.
     """
     vec = require_nonnegative_weights(w)
     n = len(vec)
@@ -378,11 +381,9 @@ def check_instance(
     optimal = feasible and cost == dp_cost
 
     # One audit pass: the policy check and the witness bound together.
-    try:
-        witness: Fraction | None = stability_witness(trace, vec, shadow)
-    except PolicyMismatchError:
-        witness = None
-    policy_verified = witness is not None
+    _, first_failure, bound, terms, scale = _audit(trace, vec, shadow)
+    policy_verified = first_failure is None
+    witness = bound if policy_verified else None
 
     left: bool | None = None
     stability = "not-run"
@@ -398,6 +399,9 @@ def check_instance(
             step = witness if cap is None or witness <= cap else cap
             stability_mode = "witness" if step == witness else "clamped"
     repeats, stable = _replay_matches(vec, shadow, step, depths, trace)
+    # A stable replay at the witness has tested every record's sign there.
+    if witness is not None and not (stable and stability_mode == "witness"):
+        _confirm_witness(trace, terms, witness, scale)
     # The audit checked each record against its functional at (w, s), and the
     # replay checked that the functionals are the combine loop's.
     equivalent = policy_verified and repeats
@@ -550,9 +554,15 @@ def resolve_orientation_binding() -> dict[str, str]:
 
     Probes tie-heavy instances, solving each with explicit two-component
     arithmetic under both orientations and with the positional reference
-    under both policies. Returns {policy: orientation}; raises
-    StructureError if the observations do not form a clean bijection.
+    under both policies. Returns a fresh {policy: orientation} dict; raises
+    StructureError if the observations do not form a clean bijection. The
+    probes are fixed, so this is measured once per process.
     """
+    return dict(_measured_binding())
+
+
+@cache
+def _measured_binding() -> dict[str, str]:
     observations: dict[str, tuple[tuple[int, ...], ...]] = {}
     references: dict[str, tuple[tuple[int, ...], ...]] = {}
     instances = [

@@ -48,8 +48,8 @@ class ComparisonRecord(
     A record is a named tuple. Solvers mint one per comparison and the replay
     audits compare them one by one, so equality and hashing are the tuple's,
     which run in C, and audit loops unpack records as tuples. The
-    constructor checks that the fields agree; `make`, `_make` and `_replace`
-    trust them. Pickle and copy rebuild through the constructor.
+    constructor checks that the fields agree; `_make`, `_replace` and
+    `recorder` trust them. Pickle and copy rebuild through the constructor.
     """
 
     __slots__ = ()
@@ -75,24 +75,9 @@ class ComparisonRecord(
             raise StructureError(f"step {step}: branch {branch!r} contradicts the sign")
         return tuple.__new__(cls, (step, functional, primary_value, realized_sign, tie, branch))
 
-    @classmethod
-    def make(
-        cls, step: int, functional: LinearFunctional, primary: RationalLike, realized: int
-    ) -> "ComparisonRecord":
-        """Build a record, deriving the tie flag and branch letter.
-
-        Trusts its arguments to be consistent (the derivation makes them so);
-        this is the solvers' hot path.
-        """
-        if type(primary) is not Fraction:
-            primary = Fraction(primary)
-        return tuple.__new__(
-            cls, (step, functional, primary, realized, not primary, LEFT if realized < 0 else RIGHT)
-        )
-
 
 class DecisionTrace(namedtuple("DecisionTrace", "n records")):
-    """An ordered run of comparison records over an n-entry instance."""
+    """An ordered run of comparison records over an n-entry instance; `_make` trusts it."""
 
     __slots__ = ()
 
@@ -225,8 +210,9 @@ def stability_witness(
     For all rational 0 < a <= a*, sign(f(w + a*s)) equals the recorded
     realized sign for every record f. The trace must pass verify_policy:
     the audit runs in the same pass as the bound, and a trace that fails it
-    raises PolicyMismatchError. With verified=True that error is not raised
-    and the re-evaluation below rejects such a trace instead. A corrupt
+    raises PolicyMismatchError. With verified=True that error is not raised,
+    and the re-evaluation of every record at a* (which `check_instance`
+    shares) rejects such a trace with StructureError instead. A corrupt
     recorded value or tie flag raises CorruptTraceError either way. The
     bound is the minimum of |value| / (|f(s)| + 1) over non-tie records and
     1 when every comparison was a tie (or the trace is empty).
@@ -237,6 +223,12 @@ def stability_witness(
             f"trace fails policy verification at step {first_failure}; "
             f"no stability witness exists"
         )
+    _confirm_witness(trace, terms, witness, scale)
+    return witness
+
+
+def _confirm_witness(trace: DecisionTrace, terms: list, witness: Fraction, scale: int) -> None:
+    """`stability_witness`'s re-evaluation at a*, from `_audit`'s terms and scale."""
     ad = witness.denominator
     an = witness.numerator * scale
     for (step, _, _, realized, _, _), (raw, drift) in zip(trace.records, terms):
@@ -245,7 +237,6 @@ def stability_witness(
         moved = raw * ad + an * drift
         if (moved > 0) - (moved < 0) != realized:
             raise StructureError(f"witness failed its own re-evaluation at step {step}")
-    return witness
 
 
 def dump_trace(trace: DecisionTrace) -> str:
@@ -412,12 +403,13 @@ def recorder(
     `on_record` when it is given, and then `finish()` returns None;
     otherwise `finish()` returns them as a DecisionTrace, whose records
     share one `Fraction` per distinct diff. Streamed records each get their
-    own, so that a sink that drops them keeps memory flat.
+    own, so that a sink that drops them keeps memory flat. No validating
+    constructor runs: the rule makes each record's fields agree, steps count
+    from 1, and callers pass indices in 1..n.
     """
     records: list[ComparisonRecord] = []
     sink = records.append if on_record is None else on_record
-    functional = LinearFunctional._trusted
-    make = ComparisonRecord.make
+    new = tuple.__new__
     values: dict[int, Fraction] = {}
     keep_values = on_record is None
     # Index 0 is padding, so that 1-based indices need no shift.
@@ -445,11 +437,13 @@ def recorder(
             primary = Fraction(diff, scale)
             if keep_values:
                 values[diff] = primary
-        sink(make(step, functional(items), primary, realized))
+        functional = new(LinearFunctional, items)
+        branch = LEFT if realized < 0 else RIGHT
+        sink(new(ComparisonRecord, (step, functional, primary, realized, not diff, branch)))
         return realized
 
     def finish() -> DecisionTrace | None:
-        return DecisionTrace(n=n, records=tuple(records)) if on_record is None else None
+        return DecisionTrace._make((n, tuple(records))) if on_record is None else None
 
     return decide, finish
 

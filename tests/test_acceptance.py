@@ -198,7 +198,12 @@ def test_partition_traces_verify_and_respect_the_oracle(criterion) -> None:
             assignment, trace = greedy_partition(w)
             s = dyadic_shadow(n)
             assert verify_policy(trace, w, s).passed
-            assert partition_value(assignment, w) >= brute_force_partition(w)
+            value, brute = partition_value(assignment, w), brute_force_partition(w)
+            assert value >= brute
+            # Largest-first greedy's makespan, (total + value) / 2, is at most
+            # 7/6 of the optimum (Graham, SIAM J. Appl. Math. 17, 1969).
+            total = sum(w, Fraction(0))
+            assert total + value <= Fraction(7, 6) * (total + brute)
 
             step = stability_witness(trace, w, s, verified=True)
             assert step > 0

@@ -30,6 +30,7 @@ from tiebreak.alphabetic import (
     tree_depths,
     validate_tree,
 )
+from tiebreak.core import LinearFunctional
 from tiebreak.errors import CapacityError, DomainError, StructureError
 from tiebreak.harness import FAMILY_NAMES, Family, _positional_phase1_depths, generate
 from tiebreak.perturb import ShadowVector, dyadic_shadow
@@ -368,7 +369,7 @@ def test_solver_record_stream_is_frozen(token: str, n: int, policy: str) -> None
             branch=rec.branch,
         )
         assert validated == rec
-        assert ComparisonRecord.make(rec.step, rec.functional, rec.primary_value, rec.realized_sign) == rec
+        assert LinearFunctional(rec.functional) == rec.functional
         assert not hasattr(rec, "__dict__")
         assert not hasattr(rec.functional, "__dict__")
 

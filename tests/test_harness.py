@@ -247,21 +247,35 @@ def test_check_instance_large_sizes_skip_enumeration() -> None:
 
 def test_check_instance_mints_records_only_for_the_solve(monkeypatch) -> None:
     # The replays check each decision against the solve's records in place,
-    # so one check mints exactly the solve's records and no more.
+    # so one check mints exactly the solve's records and no more. Records
+    # are minted in `recorder`'s `decide`, one per call.
     w = generate(Family(PAIR_SUM_TIES), 24, "mint")
     s = dyadic_shadow(24, POLICY_ORIENTATION[RIGHTMOST])
     _, trace = hu_tucker_phase1(w, s)
-    make = ComparisonRecord.make
-    minted = []
+    recorder = alphabetic.recorder
+    decides: list[int] = []
+    minted: list[int] = []
 
-    def counting_make(*args):
-        minted.append(args[0])
-        return make(*args)
+    def counting_recorder(*args):
+        decide, finish = recorder(*args)
+        decides.append(0)
 
-    monkeypatch.setattr(ComparisonRecord, "make", counting_make)
+        def counting_decide(*decide_args):
+            decides[-1] += 1
+            return decide(*decide_args)
+
+        def counting_finish():
+            made = finish()
+            minted.extend(record.step for record in made.records)
+            return made
+
+        return counting_decide, counting_finish
+
+    monkeypatch.setattr(alphabetic, "recorder", counting_recorder)
     verdict = check_instance(w, RIGHTMOST)
     assert verdict.passed and verdict.equivalent
     assert verdict.stability == "pass" and verdict.stability_mode == "witness"
+    assert decides == [len(trace.records)]
     assert minted == list(range(1, len(trace.records) + 1))
 
 
@@ -285,6 +299,49 @@ def test_check_instance_runs_the_combine_loop_twice(monkeypatch) -> None:
         verdict = check_instance(w, policy)
         assert verdict.passed and verdict.stability == stability
         assert passes == [len(w), len(w)]
+
+
+# The three cases of the test above, one per stability mode.
+_STABILITY_MODES = [
+    (generate(Family(PAIR_SUM_TIES), 24, "passes"), RIGHTMOST, "pass", "witness", 0),
+    ((Fraction(1, 64),) * 3, LEFTMOST, "pass", "clamped", 1),
+    ((0, 1, 1), LEFTMOST, "skipped-boundary", None, 1),
+]
+
+
+@pytest.mark.parametrize("w, policy, stability, mode, rechecks", _STABILITY_MODES)
+def test_witness_recheck_runs_only_where_the_replay_did_not_confirm_it(
+    monkeypatch, w, policy: str, stability: str, mode: str | None, rechecks: int
+) -> None:
+    # A stable replay at the witness tests every record's sign there, so the
+    # witness's own re-evaluation runs only for clamped and skipped runs.
+    confirm = harness._confirm_witness
+    calls = []
+
+    def counting_confirm(*args):
+        calls.append(args[2])
+        return confirm(*args)
+
+    monkeypatch.setattr(harness, "_confirm_witness", counting_confirm)
+    verdict = check_instance(w, policy)
+    assert verdict.passed
+    assert (verdict.stability, verdict.stability_mode) == (stability, mode)
+    assert calls == [verdict.witness] * rechecks
+
+
+def test_a_wrong_witness_fails_its_recheck_in_check_instance(monkeypatch) -> None:
+    # A bound far above the true one moves some sign at the witness: the
+    # replay there is not stable, so the re-evaluation runs and rejects it.
+    w = generate(Family(PAIR_SUM_TIES), 24, "passes")
+    audit = harness._audit
+
+    def inflated_audit(*args):
+        signs, first_failure, bound, terms, scale = audit(*args)
+        return signs, first_failure, bound * 10**6, terms, scale
+
+    monkeypatch.setattr(harness, "_audit", inflated_audit)
+    with pytest.raises(StructureError, match="witness failed its own re-evaluation"):
+        check_instance(w, RIGHTMOST)
 
 
 # -- replays that check each decision in place ------------------------------
@@ -575,6 +632,30 @@ def test_check_lipschitz() -> None:
 
 def test_resolved_binding_matches_configuration() -> None:
     assert resolve_orientation_binding() == POLICY_ORIENTATION
+
+
+def test_binding_is_measured_once_per_process(monkeypatch) -> None:
+    # The probes are fixed, so two campaigns in one process share one
+    # measurement, and each caller gets a dict of its own.
+    explicit_solves = []
+
+    def counting_explicit(*args):
+        explicit_solves.append(len(args[0]))
+        return phase1_explicit_shadow(*args)
+
+    monkeypatch.setattr(harness, "phase1_explicit_shadow", counting_explicit)
+    harness._measured_binding.cache_clear()
+    config = CampaignConfig(seed=5, counts=((Family(ALL_EQUAL), 1),), n_max=4)
+    first = run_campaign(config)
+    second = run_campaign(config)
+    assert len(explicit_solves) == 2 * len(harness._BINDING_PROBES)
+    assert first.render() == second.render()
+    assert first.binding == second.binding == POLICY_ORIENTATION
+    assert first.binding is not second.binding
+    first.binding[LEFTMOST] = first.binding[RIGHTMOST]
+    assert second.binding == POLICY_ORIENTATION
+    assert resolve_orientation_binding() == POLICY_ORIENTATION
+    assert len(explicit_solves) == 2 * len(harness._BINDING_PROBES)
 
 
 # -- campaign config --------------------------------------------------------

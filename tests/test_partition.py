@@ -142,12 +142,27 @@ def test_greedy_traces_verify_and_bound_holds() -> None:
         s = dyadic_shadow(n)
         report = verify_policy(trace, w, s)
         assert report.passed, report.first_failure
-        assert partition_value(assignment, w) >= brute_force_partition(w)
+        value, brute = partition_value(assignment, w), brute_force_partition(w)
+        assert value >= brute
+        # Largest-first greedy's makespan, (total + value) / 2, is at most
+        # 7/6 of the optimum (Graham, SIAM J. Appl. Math. 17, 1969).
+        total = sum(w, Fraction(0))
+        assert total + value <= Fraction(7, 6) * (total + brute)
         step = stability_witness(trace, w, s, verified=True)
         if trace.records:
             _, replay = greedy_partition(tuple(x + step * e for x, e in zip(w, s.entries)))
             assert not any(rec.tie for rec in replay.records)
             assert [r.branch for r in replay.records] == [r.branch for r in trace.records]
+
+
+def test_greedy_reaches_the_seven_sixths_bound_exactly() -> None:
+    # Greedy puts 3 | 3, then 2 | 2, then 2 on either side: makespan 7,
+    # against 6 for {3, 3} | {2, 2, 2}.
+    w = (3, 3, 2, 2, 2)
+    assignment, _ = greedy_partition(w)
+    value, brute = partition_value(assignment, w), brute_force_partition(w)
+    assert (value, brute) == (2, 0)
+    assert sum(w) + value == Fraction(7, 6) * (sum(w) + brute)
 
 
 def test_greedy_alternate_shadow_direction_still_verifies() -> None:

@@ -19,6 +19,7 @@ from tiebreak.errors import (
     StructureError,
 )
 from tiebreak.harness import FAMILY_NAMES, Family, generate
+from tiebreak.partition import greedy_partition
 from tiebreak.perturb import NEGATIVE, POSITIVE, ShadowVector, dyadic_shadow
 from tiebreak.trace import (
     LEFT,
@@ -38,7 +39,7 @@ F12 = LinearFunctional({1: 1, 2: -1})
 
 
 def _rec(step: int = 1, value: int = 1, realized: int = 1) -> ComparisonRecord:
-    return ComparisonRecord.make(step, F12, Fraction(value), realized)
+    return ComparisonRecord(step, F12, Fraction(value), realized, value == 0, LEFT if realized < 0 else RIGHT)
 
 
 def _solve(w, policy):
@@ -49,17 +50,27 @@ def _solve(w, policy):
     return vec, s, depths, trace
 
 
-def test_make_derives_tie_and_branch() -> None:
-    rec = ComparisonRecord.make(3, F12, Fraction(-2, 5), -1)
-    assert rec.step == 3
+def test_recorder_derives_tie_and_branch() -> None:
+    # The recorder mints records without the validating constructor, so the
+    # fields it derives must be ones that constructor accepts.
+    decide, finish = recorder(2, 5, (4, 2))
+    assert decide(F12, -2) == -1
+    assert decide(F12, 0) == 1  # shadow value 4 - 2
+    rec, tied = finish().records
+    assert rec.step == 1
     assert rec.primary_value == Fraction(-2, 5)
     assert not rec.tie
     assert rec.branch == LEFT
 
-    tied = ComparisonRecord.make(1, F12, 0, 1)
+    assert tied.step == 2
     assert tied.tie
     assert tied.branch == RIGHT
     assert isinstance(tied.primary_value, Fraction)
+    for minted in (rec, tied):
+        assert type(minted) is ComparisonRecord
+        assert type(minted.functional) is LinearFunctional
+        assert ComparisonRecord(*minted) == minted
+        assert LinearFunctional(minted.functional) == minted.functional
 
 
 def test_record_rejects_inconsistent_fields() -> None:
@@ -176,6 +187,21 @@ def test_recorder_numbers_records_and_breaks_ties_on_the_shadow() -> None:
     assert decide(((1, 1),), 1) == 1
     assert finish() is None
     assert [r.step for r in streamed] == [1]
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_recorder_traces_pass_the_validating_constructor(name: str) -> None:
+    # `recorder` builds its traces and records unchecked; the validating
+    # constructors must accept and reproduce each of them.
+    for n in range(1, 41):
+        w = generate(Family(name), n, "trusted")
+        traces = [_solve(w, policy)[3] for policy in (LEFTMOST, RIGHTMOST)]
+        if n <= 16:
+            traces.append(greedy_partition(w)[1])
+        for trace in traces:
+            assert type(trace) is DecisionTrace
+            assert DecisionTrace(trace.n, trace.records) == trace
+            assert all(ComparisonRecord(*record) == record for record in trace.records)
 
 
 def test_dump_load_roundtrip_for_solver_traces() -> None:
@@ -378,8 +404,8 @@ def test_verify_policy_flags_the_wrong_orientation() -> None:
 def test_verify_policy_detects_corrupt_values() -> None:
     vec, s, _, trace = _solve((1, 2, 3), LEFTMOST)
     rec = trace.records[0]
-    forged = ComparisonRecord.make(
-        rec.step, rec.functional, rec.primary_value + 1, rec.realized_sign
+    forged = ComparisonRecord._make(
+        (rec.step, rec.functional, rec.primary_value + 1, rec.realized_sign, rec.tie, rec.branch)
     )
     bad = DecisionTrace(n=trace.n, records=(forged,))
     with pytest.raises(CorruptTraceError, match="step 1"):
@@ -451,7 +477,7 @@ def test_stability_witness_preserves_every_recorded_sign() -> None:
 def test_stability_witness_rejects_a_record_its_value_contradicts() -> None:
     # Value +1 but realized sign -1: no positive step can keep that sign, so
     # the witness fails its own re-evaluation even when told to trust the trace.
-    forged = ComparisonRecord.make(1, F12, Fraction(1), -1)
+    forged = ComparisonRecord._make((1, F12, Fraction(1), -1, False, LEFT))
     trace = DecisionTrace(n=2, records=(forged,))
     with pytest.raises(StructureError, match="re-evaluation at step 1"):
         stability_witness(trace, (Fraction(2), Fraction(1)), dyadic_shadow(2), verified=True)
