@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
-from math import lcm
 from operator import add, sub
 from typing import Sequence
 
@@ -191,6 +191,19 @@ def _equal_groups_split(original: Sequence[int], moved: Sequence[int]) -> bool:
     return all(len(set(g)) == len(g) for g in groups.values())
 
 
+def _moved_weights(
+    w: Sequence[RationalLike], s: ShadowVector, step: Fraction | None
+) -> tuple[list[int], list[int]]:
+    """(scale*w, scale*den*(w + step*s)) for w's scale and step = num/den.
+
+    No step is step 0/1. A positive factor keeps every equality, sign and
+    zero test of w + step*s; with an integer shadow both lists are ints.
+    """
+    scale, scaled = clear_denominators(w)
+    num, den = (0, 1) if step is None else (step.numerator, step.denominator)
+    return scaled, [x * den + num * e * scale for x, e in zip(scaled, s.entries)]
+
+
 def leaves_family(
     family: Family, w: Sequence[RationalLike], s: ShadowVector, a: Fraction
 ) -> bool | None:
@@ -206,16 +219,7 @@ def leaves_family(
         return None
     if a <= 0:
         raise DomainError(f"perturbation step must be positive, got {format_rational(a)}")
-    # Integers only: w is grouped as scale*w, and w + a*s is taken as
-    # D*(w + a*s), where D is a positive multiple of w's scale, of the
-    # shadow's denominators and of a's. A positive factor keeps every
-    # equality and every zero test.
-    scale, vec = clear_denominators(w)
-    s_scale, at_s = clear_denominators(s.entries)
-    d = lcm(scale, a.denominator * s_scale)
-    w_factor = d // scale
-    s_factor = a.numerator * (d // (a.denominator * s_scale))
-    moved = [x * w_factor + s_factor * e for x, e in zip(vec, at_s)]
+    vec, moved = _moved_weights(w, s, a)
     ok = _equal_groups_split(vec, moved)
     if family.name == ZERO_SPRINKLED:
         ok = ok and all(m != 0 for x, m in zip(vec, moved) if x == 0)
@@ -226,6 +230,26 @@ def leaves_family(
 
 # ---------------------------------------------------------------------------
 # Single-instance certification
+
+
+#: The checks in failure precedence: (failure name, verdict field, failing
+#: value). A run fails as the first check whose field has its failing value.
+_CHECKS = (
+    ("feasibility", "feasible", False),
+    ("optimality", "optimal", False),
+    ("oracle-agreement", "oracles_agree", False),
+    ("policy", "policy_verified", False),
+    ("equivalence", "equivalent", False),
+    ("stability", "stability", "fail"),
+    ("family-departure", "left_family", False),
+)
+
+
+def _row(record, kind: str, omit: str, /, **derived) -> dict:
+    """Report row: `kind`, every field but `omit`, then `derived`; Fractions as text."""
+    row = {f.name: getattr(record, f.name) for f in fields(record) if f.name != omit}
+    row.update(derived, kind=kind)
+    return {key: format_rational(v) if isinstance(v, Fraction) else v for key, v in row.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,38 +273,28 @@ class InstanceVerdict:
     dp_cost: Fraction
     optima: int | None
     oracles_agree: bool | None
-    failure: str | None
     weights: tuple[Fraction, ...]
+
+    @property
+    def failure(self) -> str | None:
+        """The first check of `_CHECKS` this run fails, or None."""
+        return next((name for name, field, value in _CHECKS if getattr(self, field) == value), None)
 
     @property
     def passed(self) -> bool:
         return self.failure is None
 
     def as_row(self) -> dict:
-        return {
-            "kind": "instance",
-            "family": self.family,
-            "n": self.n,
-            "seed": self.seed,
-            "policy": self.policy,
-            "orientation": self.orientation,
-            "feasible": self.feasible,
-            "optimal": self.optimal,
-            "policy_verified": self.policy_verified,
-            "equivalent": self.equivalent,
-            "stability": self.stability,
-            "stability_mode": self.stability_mode,
-            "witness": None if self.witness is None else format_rational(self.witness),
-            "left_family": self.left_family,
-            "cost": None if self.cost is None else format_rational(self.cost),
-            "dp_cost": format_rational(self.dp_cost),
-            "optima": self.optima,
-            "oracles_agree": self.oracles_agree,
-            "verdict": "PASS" if self.passed else "FAIL",
-            "failure": self.failure,
+        failure = self.failure
+        return _row(
+            self,
+            "instance",
+            "weights",
+            verdict="PASS" if failure is None else "FAIL",
+            failure=failure,
             # Failing rows carry the full instance so they replay standalone.
-            "repro": None if self.passed else weights_text(self.weights),
-        }
+            repro=None if failure is None else weights_text(self.weights),
+        )
 
 
 def weights_text(w: Sequence[RationalLike]) -> str:
@@ -308,12 +322,7 @@ def _replay_matches(
     Values, ties and signs at w are the audit's, not checked here. A moved
     weight below zero raises DomainError. No record is built.
     """
-    scale, scaled = clear_denominators(vec)
-    # No step is step 0/1: the moved weights are the scaled ones.
-    num, den = (0, 1) if step is None else (step.numerator, step.denominator)
-    # The moved weights times the positive scale * den, as ints: every
-    # sign the replay takes is the same as at w + step*s itself.
-    moved = [x * den + num * e * scale for x, e in zip(scaled, shadow.entries)]
+    moved = _moved_weights(vec, shadow, step)[1]
     if min(moved) < 0:
         raise DomainError(f"step {format_rational(step)} makes a weight negative")
     pending = iter(trace.records)
@@ -348,12 +357,15 @@ def check_instance(
 ) -> InstanceVerdict:
     """Run one weight vector through every certification check.
 
-    Checks: the depth sequence reconstructs (feasibility), the tree cost
-    matches the DP oracle (optimality), the trace passes the policy audit
-    (one `trace._audit` pass, which checks every record against (w, s) and
-    bounds the witness), the combine loop makes every recorded comparison
-    (equivalence), and re-solving at the stability witness repeats the
-    decision path tie-free (stability). One replay of the combine loop,
+    Each check sets one verdict field. `_CHECKS` is the one list of them:
+    it names each failure and orders the failures by precedence. The
+    checks: the depth sequence reconstructs, the tree cost matches the DP
+    oracle, and so does the exhaustive oracle where it runs; the trace
+    passes the policy audit (one `trace._audit` pass, which checks every
+    record against (w, s) and bounds the witness); the combine loop makes
+    every recorded comparison; re-solving at the stability witness repeats
+    the decision path tie-free; and, given a family, that step breaks the
+    family's defining equalities. One replay of the combine loop,
     `_replay_matches`, checks the path as it goes and builds no records;
     equivalence is the audit and that path together. Unless that replay
     ran at the witness and was stable, the witness's own re-evaluation
@@ -375,8 +387,7 @@ def check_instance(
     depths, trace = hu_tucker_phase1(vec, shadow)
     tree = reconstruct_from_depths(depths)
     feasible = tree is not None
-    if dp_cost is None:
-        dp_cost = dp_optimal_cost(vec)
+    dp_cost = dp_optimal_cost(vec) if dp_cost is None else Fraction(dp_cost)
     cost = None if tree is None else tree_cost(tree, vec)
     optimal = feasible and cost == dp_cost
 
@@ -413,22 +424,6 @@ def check_instance(
     optima = None if brute is None else brute[1]
     oracles_agree = None if brute is None else brute[0] == dp_cost
 
-    failure = None
-    if not feasible:
-        failure = "feasibility"
-    elif not optimal:
-        failure = "optimality"
-    elif oracles_agree is False:
-        failure = "oracle-agreement"
-    elif not policy_verified:
-        failure = "policy"
-    elif not equivalent:
-        failure = "equivalence"
-    elif stability == "fail":
-        failure = "stability"
-    elif left is False:
-        failure = "family-departure"
-
     return InstanceVerdict(
         family="" if family is None else family.token(),
         n=n,
@@ -447,7 +442,6 @@ def check_instance(
         dp_cost=dp_cost,
         optima=optima,
         oracles_agree=oracles_agree,
-        failure=failure,
         weights=vec,
     )
 
@@ -492,17 +486,13 @@ class LipschitzVerdict:
     ok: bool
 
     def as_row(self) -> dict:
-        return {
-            "kind": "lipschitz",
-            "index": self.index,
-            "n": self.n,
-            "seed": self.seed,
-            "cost_before": format_rational(self.cost_before),
-            "cost_after": format_rational(self.cost_after),
-            "difference": format_rational(abs(self.cost_after - self.cost_before)),
-            "bound": format_rational(self.bound),
-            "verdict": "PASS" if self.ok else "FAIL",
-        }
+        return _row(
+            self,
+            "lipschitz",
+            "ok",
+            difference=abs(self.cost_after - self.cost_before),
+            verdict="PASS" if self.ok else "FAIL",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -563,27 +553,24 @@ def resolve_orientation_binding() -> dict[str, str]:
 
 @cache
 def _measured_binding() -> dict[str, str]:
-    observations: dict[str, tuple[tuple[int, ...], ...]] = {}
-    references: dict[str, tuple[tuple[int, ...], ...]] = {}
     instances = [
         generate(family, n, f"binding-{k}")
         for k, (family, n) in enumerate(_BINDING_PROBES)
     ]
-    for orientation in (NEGATIVE, POSITIVE):
-        observations[orientation] = tuple(
-            phase1_explicit_shadow(w, dyadic_shadow(len(w), orientation))[0]
-            for w in instances
+    observations = {
+        orientation: tuple(
+            phase1_explicit_shadow(w, dyadic_shadow(len(w), orientation))[0] for w in instances
         )
-    for policy in POLICIES:
-        references[policy] = tuple(
-            _positional_phase1_depths(w, policy) for w in instances
-        )
+        for orientation in (NEGATIVE, POSITIVE)
+    }
+    references = {
+        policy: tuple(_positional_phase1_depths(w, policy) for w in instances)
+        for policy in POLICIES
+    }
     binding: dict[str, str] = {}
-    for policy in POLICIES:
+    for policy, reference in references.items():
         matching = [
-            orientation
-            for orientation in (NEGATIVE, POSITIVE)
-            if observations[orientation] == references[policy]
+            orientation for orientation, observed in observations.items() if observed == reference
         ]
         if len(matching) != 1:
             raise StructureError(
@@ -597,6 +584,15 @@ def _measured_binding() -> dict[str, str]:
 
 # ---------------------------------------------------------------------------
 # Campaign
+
+
+_CONFIG_SCALARS = ("seed", "n_min", "n_max", "lipschitz_pairs", "lipschitz_n_max")
+
+
+def _require_int(name: str, value: object) -> None:
+    # bool is an int subclass, but True is no size, count or seed.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise StructureError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -613,8 +609,10 @@ class CampaignConfig:
     lipschitz_n_max: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise StructureError(f"seed must be an integer, got {self.seed!r}")
+        if self.lipschitz_n_max is None and isinstance(self.n_max, int):
+            object.__setattr__(self, "lipschitz_n_max", min(40, self.n_max))
+        for name in _CONFIG_SCALARS:
+            _require_int(name, getattr(self, name))
         if not self.policies:
             raise StructureError("at least one policy is required")
         for p in self.policies:
@@ -628,7 +626,10 @@ class CampaignConfig:
             )
         seen: set[str] = set()
         for family, count in self.counts:
+            if not isinstance(family, Family):
+                raise StructureError(f"count keys must be families, got {family!r}")
             token = family.token()
+            _require_int(f"count for {token}", count)
             if token in seen:
                 raise StructureError(f"family {token} configured twice")
             seen.add(token)
@@ -636,8 +637,6 @@ class CampaignConfig:
                 raise StructureError(f"count for {token} must be >= 0, got {count}")
         if self.lipschitz_pairs < 0:
             raise StructureError(f"lipschitz_pairs must be >= 0, got {self.lipschitz_pairs}")
-        if self.lipschitz_n_max is None:
-            object.__setattr__(self, "lipschitz_n_max", min(40, self.n_max))
         if self.lipschitz_n_max < 1:
             raise StructureError(f"lipschitz_n_max must be >= 1, got {self.lipschitz_n_max}")
 
@@ -651,9 +650,6 @@ class CampaignConfig:
             "lipschitz_pairs": self.lipschitz_pairs,
             "lipschitz_n_max": self.lipschitz_n_max,
         }
-
-
-_CONFIG_SCALARS = ("seed", "n_min", "n_max", "lipschitz_pairs", "lipschitz_n_max")
 
 
 def parse_config(text: str) -> CampaignConfig:
@@ -798,11 +794,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     binding: dict[str, str] | None
     binding_error: str | None
     try:
-        binding = resolve_orientation_binding()
-        binding_error = None
+        binding, binding_error = resolve_orientation_binding(), None
     except StructureError as exc:
-        binding = None
-        binding_error = str(exc)
+        binding, binding_error = None, str(exc)
 
     verdicts: list[InstanceVerdict] = []
     for family, count in sorted(config.counts, key=lambda fc: fc[0].token()):
@@ -814,17 +808,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             w = generate(family, n, seed)
             dp = dp_optimal_cost(w)
             brute = brute_force_optimal(w) if n <= ORACLE_CAP else None
-            for policy in config.policies:
-                verdicts.append(
-                    check_instance(
-                        w,
-                        policy,
-                        family=family,
-                        seed=seed,
-                        dp_cost=dp,
-                        brute=brute,
-                    )
-                )
+            verdicts.extend(
+                check_instance(w, policy, family=family, seed=seed, dp_cost=dp, brute=brute)
+                for policy in config.policies
+            )
     verdicts.sort(key=lambda v: (v.family, v.n, v.seed, v.policy))
 
     lipschitz: list[LipschitzVerdict] = []
@@ -836,17 +823,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         moved = tuple(_random_dyadic(rng) for _ in range(n))
         delta = tuple(b - a for a, b in zip(w, moved))
         before, after, bound = _lipschitz_parts(w, delta)
-        lipschitz.append(
-            LipschitzVerdict(
-                index=index,
-                n=n,
-                seed=seed,
-                cost_before=before,
-                cost_after=after,
-                bound=bound,
-                ok=abs(after - before) <= bound,
-            )
-        )
+        ok = abs(after - before) <= bound
+        lipschitz.append(LipschitzVerdict(index, n, seed, before, after, bound, ok))
 
     aggregate = _aggregate(binding, binding_error, verdicts, lipschitz)
     return CampaignReport(
@@ -865,23 +843,21 @@ def _aggregate(
     verdicts: Sequence[InstanceVerdict],
     lipschitz: Sequence[LipschitzVerdict],
 ) -> dict:
-    vectors = {(v.family, v.n, v.seed) for v in verdicts}
-    degenerate = {
-        key for key in vectors if key[0].partition(":")[0] in DEGENERATE_FAMILIES
-    }
-    multi = {
-        (v.family, v.n, v.seed)
-        for v in verdicts
-        if v.optima is not None and v.optima > 1
-    }
-    failing = sum(1 for v in verdicts if not v.passed)
+    vectors: set[tuple[str, int, str]] = set()
+    multi: set[tuple[str, int, str]] = set()
+    stabilities: Counter[tuple[str, str | None]] = Counter()
+    failing = 0
+    for v in verdicts:
+        key = (v.family, v.n, v.seed)
+        vectors.add(key)
+        if v.optima is not None and v.optima > 1:
+            multi.add(key)
+        failing += not v.passed
+        stabilities[v.stability, v.stability_mode] += 1
+    degenerate = [key for key in vectors if key[0].partition(":")[0] in DEGENERATE_FAMILIES]
     lipschitz_failures = sum(1 for v in lipschitz if not v.ok)
     binding_matches = None if binding is None else binding == POLICY_ORIENTATION
-    verdict = (
-        "PASS"
-        if failing == 0 and lipschitz_failures == 0 and binding_matches is True
-        else "FAIL"
-    )
+    passed = failing == 0 and lipschitz_failures == 0 and binding_matches is True
     return {
         "binding": binding,
         "binding_error": binding_error,
@@ -891,16 +867,10 @@ def _aggregate(
         "degenerate_vectors": len(degenerate),
         "multiple_optima_vectors": len(multi),
         "failing_runs": failing,
-        "stability_at_witness": sum(
-            1 for v in verdicts if v.stability == "pass" and v.stability_mode == "witness"
-        ),
-        "stability_clamped": sum(
-            1 for v in verdicts if v.stability == "pass" and v.stability_mode == "clamped"
-        ),
-        "stability_skipped_boundary": sum(
-            1 for v in verdicts if v.stability == "skipped-boundary"
-        ),
+        "stability_at_witness": stabilities["pass", "witness"],
+        "stability_clamped": stabilities["pass", "clamped"],
+        "stability_skipped_boundary": stabilities["skipped-boundary", None],
         "lipschitz_pairs": len(lipschitz),
         "lipschitz_failures": lipschitz_failures,
-        "verdict": verdict,
+        "verdict": "PASS" if passed else "FAIL",
     }

@@ -26,13 +26,18 @@ class ShadowVector(namedtuple("ShadowVector", "entries")):
 
     A named tuple of one field, so it is immutable and compares and hashes
     by value. Pickle and copy rebuild through the checking constructor.
+    Entries are exact: each is an int (not a bool) or a Fraction.
     """
 
     __slots__ = ()
 
-    def __new__(cls, entries: tuple[RationalLike, ...]):
+    def __new__(cls, entries: Sequence[RationalLike]):
+        entries = tuple(entries)
         if not entries:
             raise DomainError("shadow vector must have at least one entry")
+        for e in entries:
+            if not isinstance(e, (int, Fraction)) or isinstance(e, bool):
+                raise StructureError(f"shadow entries must be ints or Fractions, got {e!r}")
         return tuple.__new__(cls, (entries,))
 
 

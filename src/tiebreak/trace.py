@@ -144,23 +144,17 @@ def _audit(
     # multiplication. Raw values and drifts are ints, or Fractions when a
     # loaded functional has fractional coefficients.
     wn = wd = 1
-    # raw -> a recorded value already found equal to raw / scale. Solver
-    # traces share one Fraction per distinct value, so most records skip
-    # the cross-multiplication.
-    agreed: dict = {}
     for step, f, recorded, realized, tie, _ in trace.records:
         raw = drift = 0
         for i, c in f:
             raw += c * at_w[i]
             drift += c * at_s[i]
         # Agreement with the record is the identity raw * qd == qn * scale.
-        if agreed.get(raw) is not recorded:
-            if raw * recorded.denominator != recorded.numerator * scale:
-                raise CorruptTraceError(
-                    f"step {step}: recorded value {format_rational(recorded)} "
-                    f"but re-evaluation gives {format_rational(Fraction(raw, scale))}"
-                )
-            agreed[raw] = recorded
+        if raw * recorded.denominator != recorded.numerator * scale:
+            raise CorruptTraceError(
+                f"step {step}: recorded value {format_rational(recorded)} "
+                f"but re-evaluation gives {format_rational(Fraction(raw, scale))}"
+            )
         if tie != (not raw):
             raise CorruptTraceError(f"step {step}: tie flag contradicts the re-evaluated value")
         # The rule `recorder` applies (primary sign, shadow on a tie),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -236,6 +237,63 @@ def test_check_instance_flags_wrong_oracle_values() -> None:
 
     verdict = check_instance((1, 2, 3), RIGHTMOST, brute=(Fraction(10), 1))
     assert verdict.failure == "oracle-agreement"
+
+
+INSTANCE_ROW_KEYS = {
+    "kind", "family", "n", "seed", "policy", "orientation", "feasible", "optimal",
+    "policy_verified", "equivalent", "stability", "stability_mode", "witness", "left_family",
+    "cost", "dp_cost", "optima", "oracles_agree", "verdict", "failure", "repro",
+}
+
+
+def test_instance_rows_format_every_rational_field_as_text() -> None:
+    # An int oracle cost prints as a rational token, as a Fraction one does.
+    passing = check_instance((1, 2, 3), RIGHTMOST, dp_cost=9).as_row()
+    assert set(passing) == INSTANCE_ROW_KEYS
+    assert passing["dp_cost"] == "9" and passing["cost"] == "9" and passing["witness"] == "2/7"
+    assert passing["verdict"] == "PASS" and passing["failure"] is None and passing["repro"] is None
+    assert passing["n"] == 3 and passing["optima"] == 1 and passing["feasible"] is True
+
+    failing = check_instance((1, 2, 3), RIGHTMOST, dp_cost=10).as_row()
+    assert set(failing) == INSTANCE_ROW_KEYS
+    assert failing["dp_cost"] == "10" and failing["cost"] == "9"
+    assert failing["verdict"] == "FAIL" and failing["failure"] == "optimality"
+    assert failing["repro"] == "1 2 3"
+
+
+def test_lipschitz_rows_format_every_rational_field_as_text() -> None:
+    (verdict,) = run_campaign(CampaignConfig(seed=3, counts=(), n_max=6, lipschitz_pairs=1)).lipschitz
+    row = verdict.as_row()
+    assert set(row) == {
+        "kind", "index", "n", "seed", "cost_before", "cost_after", "difference", "bound", "verdict",
+    }
+    assert row["kind"] == "lipschitz" and row["verdict"] == "PASS"
+    assert row["difference"] == format_rational(abs(verdict.cost_after - verdict.cost_before))
+    assert row["bound"] == format_rational(verdict.bound)
+
+
+def test_failure_is_the_first_failing_check_in_precedence_order() -> None:
+    verdict = check_instance((1, 2, 3), RIGHTMOST, family=Family(ALL_EQUAL))
+    assert verdict.failure is None and verdict.passed
+    # Each step fails one more check, earlier in the order than the last.
+    broken = [
+        ("family-departure", {"left_family": False}),
+        ("stability", {"stability": "fail"}),
+        ("equivalence", {"equivalent": False}),
+        ("policy", {"policy_verified": False}),
+        ("oracle-agreement", {"oracles_agree": False}),
+        ("optimality", {"optimal": False}),
+        ("feasibility", {"feasible": False}),
+    ]
+    for failure, change in broken:
+        verdict = dataclasses.replace(verdict, **change)
+        assert verdict.failure == failure and not verdict.passed
+    # A check that did not run (None) or a stability label other than
+    # "fail" is not a failure.
+    skipped = dataclasses.replace(
+        check_instance((0,), LEFTMOST), left_family=None, oracles_agree=None
+    )
+    assert skipped.stability == "skipped-boundary" and skipped.failure is None
 
 
 def test_check_instance_large_sizes_skip_enumeration() -> None:
@@ -676,6 +734,16 @@ def test_campaign_config_validation() -> None:
         CampaignConfig(seed=7, counts=((Family(ALL_EQUAL), -1),))
     with pytest.raises(StructureError, match="lipschitz_pairs"):
         CampaignConfig(seed=7, counts=(), lipschitz_pairs=-1)
+    # bool is an int subclass; the report header would print `true`.
+    for name in ("n_min", "n_max", "lipschitz_pairs", "lipschitz_n_max"):
+        with pytest.raises(StructureError, match=f"{name} must be an integer, got True"):
+            CampaignConfig(seed=7, counts=(), **{name: True})
+    with pytest.raises(StructureError, match="n_max must be an integer"):
+        CampaignConfig(seed=7, counts=(), n_max="3")  # type: ignore[arg-type]
+    with pytest.raises(StructureError, match="count for all-equal must be an integer, got True"):
+        CampaignConfig(seed=7, counts=((Family(ALL_EQUAL), True),))
+    with pytest.raises(StructureError, match="count keys must be families"):
+        CampaignConfig(seed=7, counts=((ALL_EQUAL, 1),))  # type: ignore[arg-type]
 
 
 def test_parse_config_full_document() -> None:

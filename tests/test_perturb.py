@@ -44,6 +44,23 @@ def test_shadow_vector_must_be_nonempty() -> None:
             make()
 
 
+@pytest.mark.parametrize(
+    "entries", [(Fraction(1, 2), 0.25, 1), (True, 2), (4, False), (1, "2"), (1, None), (1, 2 + 0j)]
+)
+def test_shadow_vector_takes_only_exact_entries(entries) -> None:
+    # A float entry used to be accepted: phase 1 then settled ties in float
+    # arithmetic, and the audits raised AttributeError on `.denominator`.
+    with pytest.raises(StructureError, match="shadow entries must be ints or Fractions"):
+        ShadowVector(entries)
+
+
+def test_shadow_vector_stores_a_tuple() -> None:
+    s = ShadowVector([4, Fraction(1, 3), -2])
+    assert s.entries == (4, Fraction(1, 3), -2)
+    assert type(s.entries) is tuple
+    assert s == ShadowVector((4, Fraction(1, 3), -2))
+
+
 def test_max_step_in_domain() -> None:
     w = [Fraction(1), Fraction(2), Fraction(3)]
     assert max_step_in_domain(w, dyadic_shadow(3)) is None

@@ -37,26 +37,28 @@ def run_fresh(code: str, *args: str) -> list:
     return [json.loads(line) for line in out.splitlines()]
 
 
-def test_no_assert_statements_in_the_package() -> None:
-    # `python -O` strips assert statements, so no check may live in one.
+def _package_nodes() -> list[tuple[str, ast.AST]]:
+    """(module file name, node) for every AST node of every package module."""
     modules = sorted(Path(tiebreak.__file__).parent.glob("*.py"))
     assert "alphabetic.py" in {path.name for path in modules}
-    found = [
-        f"{path.name}:{node.lineno}"
+    return [
+        (path.name, node)
         for path in modules
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if isinstance(node, ast.Assert)
     ]
+
+
+def test_no_assert_statements_in_the_package() -> None:
+    # `python -O` strips assert statements, so no check may live in one.
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes() if isinstance(node, ast.Assert)]
     assert found == []
 
 
 def test_no_float_or_complex_literals_or_float_calls_in_the_package() -> None:
     # The package is exact: every number is an int or a Fraction.
-    modules = sorted(Path(tiebreak.__file__).parent.glob("*.py"))
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
         if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
         or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
     ]
