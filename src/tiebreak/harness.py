@@ -81,6 +81,18 @@ DEGENERATE_FAMILIES = frozenset(FAMILY_NAMES) - {UNIFORM_RANDOM}
 _MAX_BLOCKS = 64
 
 
+def _require_int(name: str, value: object) -> None:
+    # bool is an int subclass, but True is no size, count or seed.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise StructureError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_exact(name: str, value: object) -> None:
+    # A float would compare, and format, as a nearby rational.
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+        raise StructureError(f"{name} must be an exact int or Fraction, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Family:
     """An instance family plus its parameters, e.g. `equal-blocks:3`."""
@@ -92,6 +104,8 @@ class Family:
     def __post_init__(self) -> None:
         if self.name not in FAMILY_NAMES:
             raise StructureError(f"unknown instance family {self.name!r}")
+        _require_int("block count", self.block_count)
+        _require_exact("zero fraction", self.zero_fraction)
         if not 2 <= self.block_count <= _MAX_BLOCKS:
             raise StructureError(
                 f"block count must be in 2..{_MAX_BLOCKS}, got {self.block_count}"
@@ -319,7 +333,7 @@ def _replay_matches(
     same depths and uses every record. `stable`: besides, each moved diff
     has the recorded sign strictly, so a run of its own at w + step*s makes
     the same decisions. With `step` None, m_i is w_i and `stable` is None.
-    Values, ties and signs at w are the audit's, not checked here. A moved
+    Values and signs at w are the audit's, not checked here. A moved
     weight below zero raises DomainError. No record is built.
     """
     moved = _moved_weights(vec, shadow, step)[1]
@@ -331,9 +345,9 @@ def _replay_matches(
     def decide(items, diff) -> int:
         nonlocal stable
         record = next(pending, None)
-        if record is None or record[1] != tuple(items):
+        if record is None or record[0] != tuple(items):
             raise _PathMismatch
-        recorded = record[3]
+        recorded = record[2]
         # A moved tie has sign 0, which is never the recorded sign.
         if (diff > 0) - (diff < 0) != recorded:
             stable = False
@@ -371,16 +385,22 @@ def check_instance(
     ran at the witness and was stable, the witness's own re-evaluation
     (as in `stability_witness`) runs too, and a witness that fails it
     raises StructureError. Failures are recorded, never raised, except a
-    corrupt trace record, a wrong value or tie flag, which raises
+    corrupt trace record, one whose value is wrong, which raises
     CorruptTraceError. When the witness step would leave the nonnegative
     domain (possible with the negative orientation) the perturbed re-run is
     clamped to the largest admissible step, and at boundary points with no
     admissible step it is skipped; both cases are labeled, not failed.
+    A precomputed `dp_cost`, or cost in `brute` (cost, optima), that is not
+    an exact int or Fraction raises StructureError.
     """
     vec = require_nonnegative_weights(w)
     n = len(vec)
     if policy not in POLICIES:
         raise DomainError(f"policy must be one of {POLICIES}, got {policy!r}")
+    if dp_cost is not None:
+        _require_exact("dp_cost", dp_cost)
+    if brute is not None:
+        _require_exact("brute cost", brute[0])
     orientation = POLICY_ORIENTATION[policy]
     shadow = dyadic_shadow(n, orientation)
 
@@ -587,12 +607,6 @@ def _measured_binding() -> dict[str, str]:
 
 
 _CONFIG_SCALARS = ("seed", "n_min", "n_max", "lipschitz_pairs", "lipschitz_n_max")
-
-
-def _require_int(name: str, value: object) -> None:
-    # bool is an int subclass, but True is no size, count or seed.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise StructureError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
 """Decision traces: the comparisons a solver made, and tools to audit them.
 
-A trace captures every branching comparison as (functional, value, sign,
-branch). Auditing re-evaluates each functional against the instance: a
-mismatch with the recorded value or tie flag means the trace is corrupt,
-while a sign that contradicts the shadow direction means the solver did
-not follow the claimed tie policy. A verified trace also yields a concrete
-step bound below which the whole decision path is insensitive to
-perturbation.
+A trace captures every branching comparison as (functional, value, sign).
+A record's step is its position, counted from 1, and its tie flag (value 0)
+and branch letter (its sign) follow from it; the trace file spells these
+out, and `load_trace` checks them. Auditing re-evaluates each functional
+against the instance: a mismatch with the recorded value means the trace
+is corrupt, while a sign that contradicts the shadow direction means the
+solver did not follow the claimed tie policy. A verified trace also yields
+a concrete step bound below which the whole decision path is insensitive
+to perturbation.
 
 Every solver branches through `recorder`, the single symbolic-perturbation
-decision rule, which also numbers and emits the records. The audits
-recompute that rule on their own, so they do not share the solver's code.
+decision rule, which also emits the records. The audits recompute that
+rule on their own, so they do not share the solver's code.
 """
 
 from __future__ import annotations
@@ -35,45 +37,32 @@ LEFT = "L"
 RIGHT = "R"
 
 
-class ComparisonRecord(
-    namedtuple("ComparisonRecord", "step functional primary_value realized_sign tie branch")
-):
+class ComparisonRecord(namedtuple("ComparisonRecord", "functional primary_value realized_sign")):
     """One branching comparison.
 
-    `realized_sign` is the sign the solver acted on after tie-breaking, so it
-    is never 0; `tie` is true exactly when the primary value was 0 and the
-    shadow had to decide. The branch letter is redundant with the sign and is
-    kept because the wire format stores it.
+    `realized_sign` is the sign the solver acted on: the sign of
+    `primary_value`, or on a tie (value 0) the shadow's, so it is never 0.
 
     A record is a named tuple. Solvers mint one per comparison and the replay
     audits compare them one by one, so equality and hashing are the tuple's,
     which run in C, and audit loops unpack records as tuples. The
-    constructor checks that the fields agree; `_make`, `_replace` and
-    `recorder` trust them. Pickle and copy rebuild through the constructor.
+    constructor checks the sign against the value; `_make`, `_replace` and
+    `recorder` trust it. Pickle and copy rebuild through the constructor.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        step: int,
-        functional: LinearFunctional,
-        primary_value: Fraction,
-        realized_sign: int,
-        tie: bool,
-        branch: str,
-    ):
-        if not isinstance(step, int) or isinstance(step, bool) or step < 1:
-            raise StructureError(f"step must be an integer >= 1, got {step!r}")
+    def __new__(cls, functional: LinearFunctional, primary_value: Fraction, realized_sign: int):
         if realized_sign not in (-1, 1):
             raise StructureError(f"realized sign must be -1 or +1, got {realized_sign}")
-        if tie != (primary_value == 0):
-            raise StructureError(f"step {step}: tie flag contradicts the recorded value")
-        if not tie and realized_sign != sign(primary_value):
-            raise StructureError(f"step {step}: sign contradicts the recorded value")
-        if branch != (LEFT if realized_sign < 0 else RIGHT):
-            raise StructureError(f"step {step}: branch {branch!r} contradicts the sign")
-        return tuple.__new__(cls, (step, functional, primary_value, realized_sign, tie, branch))
+        if primary_value and realized_sign != sign(primary_value):
+            raise StructureError("sign contradicts the recorded value")
+        return tuple.__new__(cls, (functional, primary_value, realized_sign))
+
+    @property
+    def tie(self) -> bool:
+        """Whether the value was 0, so that the shadow chose the sign."""
+        return self.primary_value == 0
 
 
 class DecisionTrace(namedtuple("DecisionTrace", "n records")):
@@ -84,19 +73,12 @@ class DecisionTrace(namedtuple("DecisionTrace", "n records")):
     def __new__(cls, n: int, records: tuple[ComparisonRecord, ...]):
         if n < 1:
             raise StructureError(f"trace instance size must be >= 1, got {n}")
-        expected = 1
-        for step, functional, _, _, _, _ in records:
-            if step != expected:
-                raise StructureError(
-                    f"trace steps must increase from 1 without gaps; "
-                    f"expected {expected}, got {step}"
-                )
+        for step, (functional, _, _) in enumerate(records, 1):
             if functional.max_index() > n:
                 raise StructureError(
                     f"step {step} references index {functional.max_index()} "
                     f"outside 1..{n}"
                 )
-            expected += 1
         return tuple.__new__(cls, (n, records))
 
 
@@ -122,13 +104,12 @@ def _audit(
 
     Each functional is evaluated once at the denominator-cleared weights,
     giving raw = f(w) * scale, and once on the shadow, giving the drift
-    f(s). A raw value that disagrees with the recorded one, or a tie flag
-    that disagrees with raw == 0, raises CorruptTraceError. Returns the
-    sign the policy dictates for each record (the sign of raw, on a tie the
-    sign of the drift), the first step whose realized sign differs from it
-    (None when none does), the witness bound min |f(w)| / (|f(s)| + 1) over
-    the records with f(w) != 0 (1 when there are none), the (raw, drift)
-    pairs and the scale.
+    f(s). A raw value that disagrees with the recorded one raises
+    CorruptTraceError. Returns the sign the policy dictates for each record
+    (the sign of raw, on a tie the sign of the drift), the first step whose
+    realized sign differs from it (None when none does), the witness bound
+    min |f(w)| / (|f(s)| + 1) over the records with f(w) != 0 (1 when there
+    are none), the (raw, drift) pairs and the scale.
     """
     if len(w) != trace.n:
         raise StructureError(f"trace is over {trace.n} weights but instance has {len(w)}")
@@ -144,7 +125,7 @@ def _audit(
     # multiplication. Raw values and drifts are ints, or Fractions when a
     # loaded functional has fractional coefficients.
     wn = wd = 1
-    for step, f, recorded, realized, tie, _ in trace.records:
+    for step, (f, recorded, realized) in enumerate(trace.records, 1):
         raw = drift = 0
         for i, c in f:
             raw += c * at_w[i]
@@ -155,8 +136,6 @@ def _audit(
                 f"step {step}: recorded value {format_rational(recorded)} "
                 f"but re-evaluation gives {format_rational(Fraction(raw, scale))}"
             )
-        if tie != (not raw):
-            raise CorruptTraceError(f"step {step}: tie flag contradicts the re-evaluated value")
         # The rule `recorder` applies (primary sign, shadow on a tie),
         # recomputed here so that the audit does not trust the solver's.
         if raw:
@@ -179,15 +158,14 @@ def verify_policy(trace: DecisionTrace, w: Sequence[RationalLike], s: ShadowVect
     """Audit a trace against its instance and a shadow direction.
 
     Each functional is re-evaluated at w. Disagreement with the recorded
-    value, or a tie flag that contradicts the re-evaluated value, raises
-    CorruptTraceError; an otherwise intact record fails when its realized
-    sign differs from the sign the shadow direction dictates.
+    value raises CorruptTraceError; an otherwise intact record fails when
+    its realized sign differs from the sign the shadow direction dictates.
     """
     expected_signs, first_failure, _, _, _ = _audit(trace, w, s)
     check = RecordCheck._trusted
     checks = tuple([
-        check((record[0], expected, expected == record[3]))
-        for record, expected in zip(trace.records, expected_signs)
+        check((step, expected, expected == record[2]))
+        for step, (record, expected) in enumerate(zip(trace.records, expected_signs), 1)
     ])
     return VerificationReport(first_failure is None, checks, first_failure)
 
@@ -207,9 +185,9 @@ def stability_witness(
     raises PolicyMismatchError. With verified=True that error is not raised,
     and the re-evaluation of every record at a* (which `check_instance`
     shares) rejects such a trace with StructureError instead. A corrupt
-    recorded value or tie flag raises CorruptTraceError either way. The
-    bound is the minimum of |value| / (|f(s)| + 1) over non-tie records and
-    1 when every comparison was a tie (or the trace is empty).
+    recorded value raises CorruptTraceError either way. The bound is the
+    minimum of |value| / (|f(s)| + 1) over non-tie records and 1 when every
+    comparison was a tie (or the trace is empty).
     """
     _, first_failure, witness, terms, scale = _audit(trace, w, s)
     if first_failure is not None and not verified:
@@ -225,7 +203,7 @@ def _confirm_witness(trace: DecisionTrace, terms: list, witness: Fraction, scale
     """`stability_witness`'s re-evaluation at a*, from `_audit`'s terms and scale."""
     ad = witness.denominator
     an = witness.numerator * scale
-    for (step, _, _, realized, _, _), (raw, drift) in zip(trace.records, terms):
+    for step, ((_, _, realized), (raw, drift)) in enumerate(zip(trace.records, terms), 1):
         # sign(f(w) + a*f(s)) via the numerator raw*ad + an*drift*scale over
         # the positive denominator scale*ad.
         moved = raw * ad + an * drift
@@ -236,14 +214,15 @@ def _confirm_witness(trace: DecisionTrace, terms: list, witness: Fraction, scale
 def dump_trace(trace: DecisionTrace) -> str:
     """Serialize to line-delimited records, one JSON object per comparison.
 
-    Each line is written out directly: rational text is digits, `-` and `/`,
-    so nothing needs JSON escaping. A trace repeats a few coefficients and
+    Step, tie flag and branch (L for a negative sign) are derived. Each line
+    is written out directly: rational text is digits, `-` and `/`, so
+    nothing needs JSON escaping. A trace repeats a few coefficients and
     values many times, so each distinct one is formatted once per call.
     """
     coeff_texts: dict[RationalLike, str] = {}
     value_texts: dict[Fraction, str] = {}
     lines = []
-    for step, functional, value, _, tie, branch in trace.records:
+    for step, (functional, value, realized) in enumerate(trace.records, 1):
         coeffs = []
         for i, c in functional:
             text = coeff_texts.get(c)
@@ -253,9 +232,10 @@ def dump_trace(trace: DecisionTrace) -> str:
         text = value_texts.get(value)
         if text is None:
             text = value_texts[value] = format_rational(value)
+        tie = "false" if value else "true"
         lines.append(
             f'{{"step": {step}, "coeffs": {{{", ".join(coeffs)}}}, "value": "{text}", '
-            f'"tie": {"true" if tie else "false"}, "branch": "{branch}"}}\n'
+            f'"tie": {tie}, "branch": "{LEFT if realized < 0 else RIGHT}"}}\n'
         )
     return "".join(lines)
 
@@ -282,7 +262,9 @@ def load_trace(text: str, n: int) -> DecisionTrace:
 
     Lines end at `\n` (a `\r` before it is allowed), and a line holding only
     spaces, tabs and `\r` is ignored. Any malformed line, unknown key, or
-    record that contradicts itself raises FormatError naming the line.
+    record that contradicts itself raises FormatError naming the line: steps
+    must count up from 1, the tie flag must say whether the value is 0, and
+    a nonzero value's sign must be the branch's (L negative, R positive).
     """
     # Imported here, so that importing this module does not load json.
     import json
@@ -320,7 +302,7 @@ def load_trace(text: str, n: int) -> DecisionTrace:
                 line=lineno,
             )
         try:
-            records.append(_record_from_obj(obj, coeff_memo, value_memo))
+            records.append(_record_from_obj(obj, len(records) + 1, coeff_memo, value_memo))
         except (StructureError, FormatError) as exc:
             raise FormatError(str(exc), line=lineno) from exc
     try:
@@ -330,7 +312,7 @@ def load_trace(text: str, n: int) -> DecisionTrace:
 
 
 def _record_from_obj(
-    obj: dict, coeff_memo: dict[str, RationalLike], value_memo: dict[str, Fraction]
+    obj: dict, expected: int, coeff_memo: dict[str, RationalLike], value_memo: dict[str, Fraction]
 ) -> ComparisonRecord:
     raw_coeffs = obj["coeffs"]
     if not isinstance(raw_coeffs, dict):
@@ -366,15 +348,19 @@ def _record_from_obj(
     if branch not in (LEFT, RIGHT):
         raise FormatError(f"branch must be {LEFT!r} or {RIGHT!r}, got {branch!r}")
     realized = -1 if branch == LEFT else 1
-    record = ComparisonRecord(
-        step=obj["step"],
-        functional=LinearFunctional(coeffs),
-        primary_value=value,
-        realized_sign=realized,
-        tie=tie,
-        branch=branch,
-    )
-    return record
+    functional = LinearFunctional(coeffs)
+    step = obj["step"]
+    if type(step) is not int or step < 1:
+        raise FormatError(f"step must be an integer >= 1, got {step!r}")
+    if step != expected:
+        raise FormatError(
+            f"trace steps must increase from 1 without gaps; expected {expected}, got {step}"
+        )
+    if tie != (value == 0):
+        raise FormatError(f"step {step}: tie flag contradicts the recorded value")
+    if not tie and realized != sign(value):
+        raise FormatError(f"step {step}: sign contradicts the recorded value")
+    return tuple.__new__(ComparisonRecord, (functional, value, realized))
 
 
 def recorder(
@@ -392,14 +378,14 @@ def recorder(
     and on an exact tie the sign of `drift`, which defaults to the
     functional's value on `shadow_entries` (Edelsbrunner and Muecke,
     "Simulation of Simplicity", ACM TOG 9(1), 1990). A tie that the drift
-    leaves at zero raises DomainError. Every call emits one record, steps
-    numbered from 1, with value diff / scale. Records stream to
-    `on_record` when it is given, and then `finish()` returns None;
+    leaves at zero raises DomainError naming the step, the call's number
+    from 1. Every call emits one record, with value diff / scale. Records
+    stream to `on_record` when it is given, and then `finish()` returns None;
     otherwise `finish()` returns them as a DecisionTrace, whose records
     share one `Fraction` per distinct diff. Streamed records each get their
     own, so that a sink that drops them keeps memory flat. No validating
-    constructor runs: the rule makes each record's fields agree, steps count
-    from 1, and callers pass indices in 1..n.
+    constructor runs: the rule makes each record's sign agree with its
+    value, and callers pass indices in 1..n.
     """
     records: list[ComparisonRecord] = []
     sink = records.append if on_record is None else on_record
@@ -431,9 +417,7 @@ def recorder(
             primary = Fraction(diff, scale)
             if keep_values:
                 values[diff] = primary
-        functional = new(LinearFunctional, items)
-        branch = LEFT if realized < 0 else RIGHT
-        sink(new(ComparisonRecord, (step, functional, primary, realized, not diff, branch)))
+        sink(new(ComparisonRecord, (new(LinearFunctional, items), primary, realized)))
         return realized
 
     def finish() -> DecisionTrace | None:

@@ -212,7 +212,7 @@ def test_partition_traces_verify_and_respect_the_oracle(criterion) -> None:
             assert replayed == assignment
             assert len(replay.records) == len(trace.records)
             assert not any(rec.tie for rec in replay.records)
-            assert [r.branch for r in replay.records] == [r.branch for r in trace.records]
+            assert [r.realized_sign for r in replay.records] == [r.realized_sign for r in trace.records]
 
 
 #: sha256 of the acceptance report. The report is the campaign's contract:

@@ -90,6 +90,38 @@ def test_verify_trace_reports_corruption(weights_file, tmp_path, capsys) -> None
     assert "step 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "line, old, new",
+    [
+        (6, '"step": 6', '"step": 7'),
+        (1, '"step": 1', '"step": true'),
+        (1, '"step": 1', '"step": 1.0'),
+        (6, '"tie": false', '"tie": true'),
+        (5, '"tie": true', '"tie": false'),
+        (6, '"branch": "L"', '"branch": "R"'),
+    ],
+    ids=["step-gap", "step-true", "step-float", "tie-on-nonzero", "no-tie-on-zero", "branch-on-nonzero"],
+)
+def test_verify_trace_rejects_a_step_tie_or_branch_its_line_contradicts(
+    weights_file, tmp_path, capsys, line: int, old: str, new: str
+) -> None:
+    # Five unit weights, leftmost: line 5 records a tie, line 6 the value -1.
+    wfile = weights_file("1 1 1 1 1")
+    trace = tmp_path / "trace.txt"
+    assert main(["solve", "--weights", wfile, "--policy", "leftmost", "--emit-trace", str(trace)]) == 0
+    capsys.readouterr()
+    lines = trace.read_text(encoding="utf-8").split("\n")
+    assert old in lines[line - 1]
+    lines[line - 1] = lines[line - 1].replace(old, new, 1)
+    trace.write_text("\n".join(lines), encoding="utf-8")
+
+    code = main(["verify-trace", "--trace", str(trace), "--weights", wfile, "--orientation", "neg"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: line {line}: ")
+
+
 def test_oracle_with_and_without_enumeration(weights_file, capsys) -> None:
     wfile = weights_file("1 2 3")
     assert main(["oracle", "--weights", wfile]) == 0

@@ -53,8 +53,6 @@ from tiebreak.perturb import (
     max_step_in_domain,
 )
 from tiebreak.trace import (
-    LEFT,
-    RIGHT,
     ComparisonRecord,
     DecisionTrace,
     stability_witness,
@@ -89,6 +87,29 @@ def test_family_parse_defaults_and_errors() -> None:
         Family.parse("equal-blocks:1")
     with pytest.raises(StructureError, match="zero fraction"):
         Family.parse("zero-sprinkled:2")
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"block_count": 3.0}, "block count must be an integer, got 3.0"),
+        ({"block_count": True}, "block count must be an integer, got True"),
+        ({"block_count": "3"}, "block count must be an integer, got '3'"),
+        ({"zero_fraction": 0.5}, "zero fraction must be an exact int or Fraction, got 0.5"),
+        ({"zero_fraction": True}, "zero fraction must be an exact int or Fraction, got True"),
+    ],
+    ids=["float-count", "bool-count", "text-count", "float-fraction", "bool-fraction"],
+)
+def test_family_rejects_inexact_parameters(params: dict, message: str) -> None:
+    # A float count would make the token `equal-blocks:3.0`, and a float
+    # fraction is no exact share of the entries.
+    name = EQUAL_BLOCKS if "block_count" in params else ZERO_SPRINKLED
+    with pytest.raises(StructureError) as err:
+        Family(name, **params)
+    assert str(err.value) == message
+    # int counts and int or Fraction fractions stay accepted.
+    assert Family(EQUAL_BLOCKS, block_count=4).token() == "equal-blocks:4"
+    assert Family(ZERO_SPRINKLED, zero_fraction=1).token() == "zero-sprinkled:1"
 
 
 def test_degenerate_families_cover_all_but_uniform() -> None:
@@ -239,6 +260,17 @@ def test_check_instance_flags_wrong_oracle_values() -> None:
     assert verdict.failure == "oracle-agreement"
 
 
+@pytest.mark.parametrize(
+    "oracle",
+    [{"dp_cost": 9.5}, {"dp_cost": 9.0}, {"dp_cost": True}, {"brute": (9.5, 1)}, {"brute": (False, 1)}],
+    ids=["dp-float", "dp-integral-float", "dp-bool", "brute-float", "brute-bool"],
+)
+def test_check_instance_rejects_inexact_oracle_costs(oracle: dict) -> None:
+    # A float cost would be compared, and reported, as a nearby rational.
+    with pytest.raises(StructureError, match="must be an exact int or Fraction"):
+        check_instance((1, 2, 3), RIGHTMOST, **oracle)
+
+
 INSTANCE_ROW_KEYS = {
     "kind", "family", "n", "seed", "policy", "orientation", "feasible", "optimal",
     "policy_verified", "equivalent", "stability", "stability_mode", "witness", "left_family",
@@ -324,7 +356,7 @@ def test_check_instance_mints_records_only_for_the_solve(monkeypatch) -> None:
 
         def counting_finish():
             made = finish()
-            minted.extend(record.step for record in made.records)
+            minted.extend(made.records)
             return made
 
         return counting_decide, counting_finish
@@ -334,7 +366,7 @@ def test_check_instance_mints_records_only_for_the_solve(monkeypatch) -> None:
     assert verdict.passed and verdict.equivalent
     assert verdict.stability == "pass" and verdict.stability_mode == "witness"
     assert decides == [len(trace.records)]
-    assert minted == list(range(1, len(trace.records) + 1))
+    assert minted == list(trace.records)
 
 
 def test_check_instance_runs_the_combine_loop_twice(monkeypatch) -> None:
@@ -418,14 +450,8 @@ def _stream_matches(w, s, depths, trace) -> bool:
 
 
 def _forge(trace: DecisionTrace, records) -> DecisionTrace:
-    """A trace of `records`, renumbered from step 1, other fields as given."""
-    return DecisionTrace(
-        n=trace.n,
-        records=tuple(
-            tuple.__new__(ComparisonRecord, (step, *record[1:]))
-            for step, record in enumerate(records, start=1)
-        ),
-    )
+    """A trace of `records` over the same instance."""
+    return DecisionTrace(n=trace.n, records=tuple(records))
 
 
 def _forgeries(trace: DecisionTrace) -> dict[str, DecisionTrace]:
@@ -434,7 +460,7 @@ def _forgeries(trace: DecisionTrace) -> dict[str, DecisionTrace]:
     # Alter a tie where there is one, so that a flipped branch still reads
     # as a sign the shadow could have given.
     k = next((j for j, r in enumerate(records) if r.tie), len(records) // 2)
-    step, functional, value, realized, tie, branch = records[k]
+    functional, value, realized = records[k]
     other = next(r.functional for r in records if r.functional != functional)
 
     def replaced(record) -> DecisionTrace:
@@ -442,12 +468,9 @@ def _forgeries(trace: DecisionTrace) -> dict[str, DecisionTrace]:
 
     new = tuple.__new__
     return {
-        "value": replaced(new(ComparisonRecord, (step, functional, value + 1, realized, tie, branch))),
-        "functional": replaced(new(ComparisonRecord, (step, other, value, realized, tie, branch))),
-        "branch": replaced(
-            new(ComparisonRecord, (step, functional, value, -realized, tie, RIGHT if branch == LEFT else LEFT))
-        ),
-        "tie-flag": replaced(new(ComparisonRecord, (step, functional, value, realized, not tie, branch))),
+        "value": replaced(new(ComparisonRecord, (functional, value + 1, realized))),
+        "functional": replaced(new(ComparisonRecord, (other, value, realized))),
+        "branch": replaced(new(ComparisonRecord, (functional, value, -realized))),
         "dropped": _forge(trace, records[:k] + records[k + 1 :]),
         "added": _forge(trace, records + [records[-1]]),
     }
@@ -459,12 +482,9 @@ def _rebuilt(trace: DecisionTrace) -> DecisionTrace:
         n=trace.n,
         records=tuple(
             ComparisonRecord(
-                step=r.step,
                 functional=LinearFunctional(dict(r.functional)),
                 primary_value=Fraction(r.primary_value.numerator, r.primary_value.denominator),
                 realized_sign=r.realized_sign,
-                tie=r.tie,
-                branch=r.branch,
             )
             for r in trace.records
         ),
@@ -505,10 +525,9 @@ def _explicit_reference(w, s, depths, trace) -> bool:
         record = next(pending, None)
         if record is None:
             raise _PathMismatch
-        _, functional, value, recorded, tie, _ = record
+        functional, value, recorded = record
         if (
             recorded != realized
-            or tie != (not d)
             or d * value.denominator != value.numerator * scale
             or functional != tuple(items)
         ):
@@ -539,7 +558,7 @@ def _perturbed_reference(w, s, step, depths, trace) -> bool:
         if record is None or not diff:
             raise _PathMismatch
         realized = 1 if diff > 0 else -1
-        if record[3] != realized or record[1] != tuple(items):
+        if record[2] != realized or record[0] != tuple(items):
             raise _PathMismatch
         return realized
 
@@ -629,7 +648,7 @@ def test_explicit_replay_agrees_with_the_record_stream_comparison(name: str) -> 
             assert _replay_matches(w, s, None, depths, trace) == (True, None)
 
 
-@pytest.mark.parametrize("kind", ["value", "functional", "branch", "tie-flag", "dropped", "added"])
+@pytest.mark.parametrize("kind", ["value", "functional", "branch", "dropped", "added"])
 def test_forged_traces_fail_the_replays(kind: str) -> None:
     w = generate(Family(PAIR_SUM_TIES), 16, "forged")
     s, depths, trace = _solve(w, RIGHTMOST)
@@ -637,9 +656,9 @@ def test_forged_traces_fail_the_replays(kind: str) -> None:
     assert _certified(w, s, witness, depths, trace) == (True, True)
     equivalent, stable = _certified(w, s, witness, depths, _forgeries(trace)[kind])
     assert not equivalent
-    # The perturbed replay checks the path, not values or tie flags: the
-    # audit rejects those.
-    assert stable == (kind in ("value", "tie-flag"))
+    # The perturbed replay checks the path, not values: the audit rejects
+    # those.
+    assert stable == (kind == "value")
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -21,7 +21,7 @@ from tiebreak.partition import (
     partition_value,
 )
 from tiebreak.perturb import NEGATIVE, POSITIVE, ShadowVector, dyadic_shadow
-from tiebreak.trace import dump_trace, stability_witness, verify_policy
+from tiebreak.trace import dump_trace, load_trace, stability_witness, verify_policy
 
 
 def test_assignment_text_roundtrip() -> None:
@@ -152,7 +152,7 @@ def test_greedy_traces_verify_and_bound_holds() -> None:
         if trace.records:
             _, replay = greedy_partition(tuple(x + step * e for x, e in zip(w, s.entries)))
             assert not any(rec.tie for rec in replay.records)
-            assert [r.branch for r in replay.records] == [r.branch for r in trace.records]
+            assert [r.realized_sign for r in replay.records] == [r.realized_sign for r in trace.records]
 
 
 def test_greedy_reaches_the_seven_sixths_bound_exactly() -> None:
@@ -192,8 +192,10 @@ def test_greedy_record_stream_is_frozen(token: str, n: int, orientation: str) ->
     w = generate(Family.parse(token), n, "record-stream")
     s = None if orientation == POSITIVE else dyadic_shadow(n, orientation)
     _, trace = greedy_partition(w, s)
-    digest = hashlib.sha256(dump_trace(trace).encode()).hexdigest()
+    text = dump_trace(trace)
+    digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == FROZEN_TRACE_DIGESTS[token, n, orientation]
+    assert dump_trace(load_trace(text, n)) == text
 
 
 @pytest.mark.parametrize("token,n,orientation", sorted(FROZEN_TRACE_DIGESTS))

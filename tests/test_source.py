@@ -97,6 +97,33 @@ def test_benchmark_tracer_finds_every_name_it_patches(monkeypatch) -> None:
     assert callable(tiebreak.LinearFunctional.items)
 
 
+def test_benchmark_tracer_counts_ties_and_support_from_records(monkeypatch) -> None:
+    # The tracer reads `rec.tie` and `rec.functional.items()` on every
+    # record, whether it counts a finished trace or a streamed one.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    try:
+        tracer = import_module("tracer")
+    finally:
+        sys.modules.pop("tracer", None)
+    w = tiebreak.generate(tiebreak.Family.parse("equal-blocks:3"), 40, "tracer")
+    s = tiebreak.dyadic_shadow(40, tiebreak.NEGATIVE)
+    _, trace = tiebreak.hu_tucker_phase1(w, s)
+    ties = sum(1 for rec in trace.records if rec.primary_value == 0)
+    support = sum(len(rec.functional) for rec in trace.records)
+    assert 0 < ties < len(trace.records)
+
+    counted = tracer.Tracer()
+    counted._count_records(trace.records)
+    streamed = tracer.Tracer()
+    seen: list = []
+    tiebreak.hu_tucker_phase1(w, s, streamed._counting_sink(seen.append))
+    assert tuple(seen) == trace.records
+    for run in (counted, streamed):
+        assert run.counts["alphabetic.records"] == len(trace.records)
+        assert run.counts["alphabetic.ties"] == ties
+        assert run.counts["alphabetic.support"] == support
+
+
 def test_every_exported_name_is_its_home_modules_object() -> None:
     for name in tiebreak.__all__:
         home = import_module(f"tiebreak.{tiebreak._HOME[name]}")

@@ -22,8 +22,6 @@ from tiebreak.harness import FAMILY_NAMES, Family, generate
 from tiebreak.partition import greedy_partition
 from tiebreak.perturb import NEGATIVE, POSITIVE, ShadowVector, dyadic_shadow
 from tiebreak.trace import (
-    LEFT,
-    RIGHT,
     ComparisonRecord,
     DecisionTrace,
     RecordCheck,
@@ -38,8 +36,8 @@ from tiebreak.trace import (
 F12 = LinearFunctional({1: 1, 2: -1})
 
 
-def _rec(step: int = 1, value: int = 1, realized: int = 1) -> ComparisonRecord:
-    return ComparisonRecord(step, F12, Fraction(value), realized, value == 0, LEFT if realized < 0 else RIGHT)
+def _rec(value: int = 1, realized: int = 1) -> ComparisonRecord:
+    return ComparisonRecord(F12, Fraction(value), realized)
 
 
 def _solve(w, policy):
@@ -52,20 +50,21 @@ def _solve(w, policy):
 
 def test_recorder_derives_tie_and_branch() -> None:
     # The recorder mints records without the validating constructor, so the
-    # fields it derives must be ones that constructor accepts.
+    # fields it sets must be ones that constructor accepts. The tie flag and
+    # the dumped step and branch follow from them.
     decide, finish = recorder(2, 5, (4, 2))
     assert decide(F12, -2) == -1
     assert decide(F12, 0) == 1  # shadow value 4 - 2
-    rec, tied = finish().records
-    assert rec.step == 1
+    trace = finish()
+    rec, tied = trace.records
     assert rec.primary_value == Fraction(-2, 5)
     assert not rec.tie
-    assert rec.branch == LEFT
-
-    assert tied.step == 2
     assert tied.tie
-    assert tied.branch == RIGHT
     assert isinstance(tied.primary_value, Fraction)
+    assert dump_trace(trace) == (
+        '{"step": 1, "coeffs": {"1": "1", "2": "-1"}, "value": "-2/5", "tie": false, "branch": "L"}\n'
+        '{"step": 2, "coeffs": {"1": "1", "2": "-1"}, "value": "0", "tie": true, "branch": "R"}\n'
+    )
     for minted in (rec, tied):
         assert type(minted) is ComparisonRecord
         assert type(minted.functional) is LinearFunctional
@@ -74,27 +73,33 @@ def test_recorder_derives_tie_and_branch() -> None:
 
 
 def test_record_rejects_inconsistent_fields() -> None:
-    good = dict(step=1, functional=F12, primary_value=Fraction(1), realized_sign=1, tie=False, branch=RIGHT)
+    good = dict(functional=F12, primary_value=Fraction(1), realized_sign=1)
     ComparisonRecord(**good)
+    # On a tie the shadow decides, so either sign agrees with a zero value.
+    for realized in (-1, 1):
+        ComparisonRecord(**{**good, "primary_value": Fraction(0), "realized_sign": realized})
     for bad in (
-        {**good, "step": 0},
-        # A bool or float step would dump as a step the loader cannot read back.
-        {**good, "step": True},
-        {**good, "step": 1.0},
         {**good, "realized_sign": 0},
-        {**good, "tie": True},
-        {**good, "branch": LEFT},
+        {**good, "realized_sign": -1},
         {**good, "primary_value": Fraction(-1)},
-        {**good, "primary_value": Fraction(0)},
     ):
         with pytest.raises(StructureError):
             ComparisonRecord(**bad)
 
 
+def test_record_keeps_only_the_decision() -> None:
+    # Step, tie flag and branch letter follow from a record's position,
+    # value and sign, so the record does not store them.
+    assert ComparisonRecord._fields == ("functional", "primary_value", "realized_sign")
+    assert isinstance(ComparisonRecord.tie, property)
+    assert _rec(value=0).tie and not _rec(value=-1, realized=-1).tie
+    assert not hasattr(_rec(), "step") and not hasattr(_rec(), "branch")
+
+
 @pytest.mark.parametrize(
     "make, other, field",
     [
-        (_rec, lambda: _rec(value=2), "step"),
+        (_rec, lambda: _rec(value=2), "primary_value"),
         (
             lambda: DecisionTrace(n=2, records=(_rec(),)),
             lambda: DecisionTrace(n=3, records=(_rec(),)),
@@ -126,11 +131,11 @@ def test_values_are_immutable_and_compare_and_hash_by_value(make, other, field: 
     [
         (
             ComparisonRecord,
-            {"step": 2, "functional": F12, "primary_value": Fraction(0), "realized_sign": -1, "tie": True, "branch": LEFT},
+            {"functional": F12, "primary_value": Fraction(0), "realized_sign": -1},
         ),
         (DecisionTrace, {"n": 2, "records": ()}),
         pytest.param(
-            DecisionTrace, {"n": 2, "records": (_rec(1), _rec(2, value=-3, realized=-1))}, id="DecisionTrace-records"
+            DecisionTrace, {"n": 2, "records": (_rec(), _rec(value=-3, realized=-1))}, id="DecisionTrace-records"
         ),
         (RecordCheck, {"step": 3, "expected_sign": -1, "ok": False}),
         (VerificationReport, {"passed": False, "checks": (RecordCheck(1, 1, False),), "first_failure": 1}),
@@ -149,13 +154,15 @@ def test_fields_construct_by_position_or_keyword(cls, fields: dict) -> None:
 
 
 def test_trace_requires_consecutive_steps_within_range() -> None:
-    DecisionTrace(n=2, records=(_rec(1), _rec(2)))
-    with pytest.raises(StructureError, match="expected 1, got 2"):
-        DecisionTrace(n=2, records=(_rec(2),))
-    with pytest.raises(StructureError, match="expected 2, got 3"):
-        DecisionTrace(2, (_rec(1), _rec(3)))
-    with pytest.raises(StructureError, match=r"step 1 references index 2 outside 1\.\.1"):
-        DecisionTrace(n=1, records=(_rec(1),))
+    # In memory a record's step is its position; a trace file spells the
+    # steps out, and they must count from 1 by line.
+    DecisionTrace(n=2, records=(_rec(), _rec()))
+    with pytest.raises(FormatError, match="line 1: .*expected 1, got 2"):
+        load_trace(_line(2, "1"), 2)
+    with pytest.raises(FormatError, match="line 2: .*expected 2, got 3"):
+        load_trace(_line(1, "1") + "\n" + _line(3, "1"), 2)
+    with pytest.raises(StructureError, match=r"step 2 references index 2 outside 1\.\.1"):
+        DecisionTrace(n=1, records=(ComparisonRecord(LinearFunctional({1: 1}), Fraction(1), 1), _rec()))
     with pytest.raises(StructureError, match="trace instance size must be >= 1, got 0"):
         DecisionTrace(n=0, records=())
     assert DecisionTrace(n=5, records=()).records == ()
@@ -172,11 +179,11 @@ def test_recorder_numbers_records_and_breaks_ties_on_the_shadow() -> None:
         decide(items, 0, 0)
     trace = finish()
     assert trace.n == 2
-    assert [(r.step, r.primary_value, r.realized_sign, r.tie) for r in trace.records] == [
-        (1, Fraction(3, 2), 1, False),
-        (2, Fraction(-1, 2), -1, False),
-        (3, 0, -1, True),
-        (4, 0, 1, True),
+    assert [(r.primary_value, r.realized_sign, r.tie) for r in trace.records] == [
+        (Fraction(3, 2), 1, False),
+        (Fraction(-1, 2), -1, False),
+        (0, -1, True),
+        (0, 1, True),
     ]
     assert all(r.functional == LinearFunctional(items) for r in trace.records)
     # One Fraction per distinct value.
@@ -186,7 +193,7 @@ def test_recorder_numbers_records_and_breaks_ties_on_the_shadow() -> None:
     decide, finish = recorder(2, 1, (4, 2), streamed.append)
     assert decide(((1, 1),), 1) == 1
     assert finish() is None
-    assert [r.step for r in streamed] == [1]
+    assert streamed == [ComparisonRecord(LinearFunctional({1: 1}), Fraction(1), 1)]
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -364,8 +371,48 @@ def test_load_rejects_numbers_past_the_digit_limit(line: str, message: str) -> N
 
 def test_load_rejects_step_gaps_at_trace_level() -> None:
     line = '{"step": 2, "coeffs": {"1": "1"}, "value": "1", "tie": false, "branch": "R"}'
-    with pytest.raises(FormatError, match="expected 1"):
+    with pytest.raises(FormatError, match="line 1: .*expected 1"):
         load_trace(line, 3)
+
+
+#: The leftmost trace of five unit weights: nine records, line 5 a tie
+#: (value 0, branch R) and line 6 not (value -1, branch L).
+_TIED = dump_trace(hu_tucker_phase1((Fraction(1),) * 5, dyadic_shadow(5, NEGATIVE))[1])
+
+#: Wire fields that `load_trace` checks against the record's line and value:
+#: (line, old text, new text, message).
+FIELD_CONTRADICTIONS = {
+    "step-gap": (6, '"step": 6', '"step": 7', "trace steps must increase from 1 without gaps; expected 6, got 7"),
+    "step-true": (1, '"step": 1', '"step": true', "step must be an integer >= 1, got True"),
+    "step-float": (1, '"step": 1', '"step": 1.0', "step must be an integer >= 1, got 1.0"),
+    "tie-on-nonzero": (6, '"tie": false', '"tie": true', "step 6: tie flag contradicts the recorded value"),
+    "no-tie-on-zero": (5, '"tie": true', '"tie": false', "step 5: tie flag contradicts the recorded value"),
+    "branch-on-nonzero": (6, '"branch": "L"', '"branch": "R"', "step 6: sign contradicts the recorded value"),
+}
+
+
+def _changed_line(text: str, line: int, old: str, new: str) -> str:
+    lines = text.split("\n")
+    assert old in lines[line - 1]
+    lines[line - 1] = lines[line - 1].replace(old, new, 1)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("line, old, new, message", FIELD_CONTRADICTIONS.values(), ids=list(FIELD_CONTRADICTIONS))
+def test_load_checks_step_tie_and_branch_where_the_line_enters(line: int, old: str, new: str, message: str) -> None:
+    assert len(load_trace(_TIED, 5).records) == 9
+    with pytest.raises(FormatError) as err:
+        load_trace(_changed_line(_TIED, line, old, new), 5)
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_load_accepts_either_branch_on_a_tie_and_the_audit_judges_it() -> None:
+    # On a zero value the shadow picks the branch, so the loader cannot
+    # reject the other one; the policy audit flags it.
+    trace = load_trace(_changed_line(_TIED, 5, '"branch": "R"', '"branch": "L"'), 5)
+    assert trace.records[4].realized_sign == -1
+    report = verify_policy(trace, (Fraction(1),) * 5, dyadic_shadow(5, NEGATIVE))
+    assert report.first_failure == 5
 
 
 def test_loaded_fractional_coefficients_stay_exact() -> None:
@@ -404,27 +451,10 @@ def test_verify_policy_flags_the_wrong_orientation() -> None:
 def test_verify_policy_detects_corrupt_values() -> None:
     vec, s, _, trace = _solve((1, 2, 3), LEFTMOST)
     rec = trace.records[0]
-    forged = ComparisonRecord._make(
-        (rec.step, rec.functional, rec.primary_value + 1, rec.realized_sign, rec.tie, rec.branch)
-    )
+    forged = ComparisonRecord._make((rec.functional, rec.primary_value + 1, rec.realized_sign))
     bad = DecisionTrace(n=trace.n, records=(forged,))
     with pytest.raises(CorruptTraceError, match="step 1"):
         verify_policy(bad, vec, s)
-
-
-@pytest.mark.parametrize("tie", [True, False])
-def test_verify_policy_detects_a_tie_flag_its_value_contradicts(tie: bool) -> None:
-    # `_replace` trusts its fields, as a forged trace would. Flip the flag of
-    # the first record whose flag is `not tie`, past step 1.
-    vec, s, _, trace = _solve((1, 1, 2, 1, 1, 3), LEFTMOST)
-    k = next(j for j, r in enumerate(trace.records) if j and r.tie is not tie)
-    records = list(trace.records)
-    records[k] = records[k]._replace(tie=tie)
-    bad = DecisionTrace(n=trace.n, records=tuple(records))
-    with pytest.raises(CorruptTraceError, match=f"step {k + 1}: tie flag contradicts"):
-        verify_policy(bad, vec, s)
-    with pytest.raises(CorruptTraceError, match=f"step {k + 1}: tie flag contradicts"):
-        stability_witness(bad, vec, s, verified=True)
 
 
 def test_verify_policy_checks_dimensions() -> None:
@@ -477,7 +507,7 @@ def test_stability_witness_preserves_every_recorded_sign() -> None:
 def test_stability_witness_rejects_a_record_its_value_contradicts() -> None:
     # Value +1 but realized sign -1: no positive step can keep that sign, so
     # the witness fails its own re-evaluation even when told to trust the trace.
-    forged = ComparisonRecord._make((1, F12, Fraction(1), -1, False, LEFT))
+    forged = ComparisonRecord._make((F12, Fraction(1), -1))
     trace = DecisionTrace(n=2, records=(forged,))
     with pytest.raises(StructureError, match="re-evaluation at step 1"):
         stability_witness(trace, (Fraction(2), Fraction(1)), dyadic_shadow(2), verified=True)
