@@ -83,29 +83,6 @@ ENUMERATION_CAP = 12
 # Tree values
 
 
-def leaves_in_order(tree: Tree) -> tuple[int, ...]:
-    """Leaf indices in left-to-right order."""
-    out: list[int] = []
-    stack: list[Tree] = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, int):
-            out.append(node)
-        else:
-            left, right = node
-            stack.append(right)
-            stack.append(left)
-    return tuple(out)
-
-
-def validate_tree(tree: Tree) -> int:
-    """Check the leaf order is exactly 1..n; returns n."""
-    seq = leaves_in_order(tree)
-    if seq != tuple(range(1, len(seq) + 1)):
-        raise StructureError(f"leaves out of order: {seq}")
-    return len(seq)
-
-
 def _leaf_depths(tree: Tree) -> dict[int, int]:
     depths: dict[int, int] = {}
     stack: list[tuple[Tree, int]] = [(tree, 0)]

@@ -78,9 +78,21 @@ def format_rational(q: RationalLike) -> str:
         raise FormatError("rational has too many digits to print") from None
 
 
+def _require_exact(name: str, value: object) -> Fraction:
+    """`value` as a Fraction; anything but an int or a Fraction raises StructureError."""
+    # A float would compare, and format, as a nearby rational. bool is an
+    # int subclass, but True is no number here.
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+        raise StructureError(f"{name} must be an exact int or Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def require_nonnegative_weights(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """Coerce exact numbers into a weight vector of at least one nonnegative entry."""
-    w = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    """Exact numbers as a weight vector of at least one nonnegative entry.
+
+    An entry that is not an int or a Fraction raises StructureError.
+    """
+    w = tuple(v if type(v) is Fraction else _require_exact("weight", v) for v in values)
     if not w:
         raise StructureError("weight vector must have at least one entry")
     for i, x in enumerate(w, start=1):
@@ -94,9 +106,12 @@ def clear_denominators(values: Sequence[RationalLike]) -> tuple[int, list[int]]:
     """Common positive scale L and the integer vector [L * v_i].
 
     Lets hot loops run on plain ints; dividing by L recovers exact values.
+    An entry that is not an int or a Fraction raises StructureError.
     """
     # An int has numerator and denominator too, so it needs no Fraction.
-    fractions = [v if type(v) is Fraction or type(v) is int else Fraction(v) for v in values]
+    fractions = [
+        v if type(v) is Fraction or type(v) is int else _require_exact("weight", v) for v in values
+    ]
     scale = lcm(*(x.denominator for x in fractions)) if fractions else 1
     return scale, [x.numerator * (scale // x.denominator) for x in fractions]
 
@@ -109,7 +124,8 @@ class LinearFunctional(tuple):
     dropped at construction. Equality and hashing are the tuple's, so they
     are structural on the support and run in C; solvers mint one per
     comparison, unchecked, and the replay audits compare them by record.
-    Instances are immutable and carry no `__dict__`.
+    Instances are immutable and carry no `__dict__`. The constructor takes
+    int and Fraction coefficients only, and raises StructureError otherwise.
     """
 
     __slots__ = ()
@@ -123,6 +139,8 @@ class LinearFunctional(tuple):
         for index, coeff in pairs:
             if not isinstance(index, int) or isinstance(index, bool) or index < 1:
                 raise StructureError(f"functional index must be a positive int, got {index!r}")
+            if type(coeff) is not int and type(coeff) is not Fraction:
+                _require_exact("functional coefficient", coeff)
             if coeff:
                 items.append((index, coeff))
         items.sort()

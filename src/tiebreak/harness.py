@@ -4,9 +4,10 @@ The solver's guarantees are exercised exactly where naive implementations
 break: all-equal weights, repeated blocks, sprinkled zeros, tied pair sums,
 palindromes. `check_instance` runs one weight vector through the full
 gauntlet (solve, reconstruct, compare against the DP oracle, audit each
-record of the trace, then one replay of the combine loop at the perturbed
-instance that checks the decision path) and `run_campaign` drives
-thousands of such checks from a single integer seed, byte-reproducibly.
+record of the trace, re-evaluate every record at the stability witness,
+and replay the combine loop once to check the decision path) and
+`run_campaign` drives thousands of such checks from a single integer seed,
+byte-reproducibly.
 The campaign also settles, by experiment against a direct positional
 implementation, which shadow orientation realizes which tie policy.
 """
@@ -40,6 +41,7 @@ from .core import (
     RationalLike,
     _INT_RE,
     _parse_int,
+    _require_exact,
     clear_denominators,
     format_rational,
     parse_rational,
@@ -85,12 +87,6 @@ def _require_int(name: str, value: object) -> None:
     # bool is an int subclass, but True is no size, count or seed.
     if not isinstance(value, int) or isinstance(value, bool):
         raise StructureError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_exact(name: str, value: object) -> None:
-    # A float would compare, and format, as a nearby rational.
-    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
-        raise StructureError(f"{name} must be an exact int or Fraction, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,19 +201,6 @@ def _equal_groups_split(original: Sequence[int], moved: Sequence[int]) -> bool:
     return all(len(set(g)) == len(g) for g in groups.values())
 
 
-def _moved_weights(
-    w: Sequence[RationalLike], s: ShadowVector, step: Fraction | None
-) -> tuple[list[int], list[int]]:
-    """(scale*w, scale*den*(w + step*s)) for w's scale and step = num/den.
-
-    No step is step 0/1. A positive factor keeps every equality, sign and
-    zero test of w + step*s; with an integer shadow both lists are ints.
-    """
-    scale, scaled = clear_denominators(w)
-    num, den = (0, 1) if step is None else (step.numerator, step.denominator)
-    return scaled, [x * den + num * e * scale for x, e in zip(scaled, s.entries)]
-
-
 def leaves_family(
     family: Family, w: Sequence[RationalLike], s: ShadowVector, a: Fraction
 ) -> bool | None:
@@ -231,9 +214,14 @@ def leaves_family(
     check_shadow_length(len(w), s)
     if family.name == UNIFORM_RANDOM:
         return None
+    a = _require_exact("perturbation step", a)
     if a <= 0:
         raise DomainError(f"perturbation step must be positive, got {format_rational(a)}")
-    vec, moved = _moved_weights(w, s, a)
+    # scale*den*(w + a*s) for a = num/den: a positive factor keeps every
+    # equality and zero test, and with an integer shadow the entries are ints.
+    scale, vec = clear_denominators(w)
+    num, den = a.numerator, a.denominator
+    moved = [x * den + num * e * scale for x, e in zip(vec, s.entries)]
     ok = _equal_groups_split(vec, moved)
     if family.name == ZERO_SPRINKLED:
         ok = ok and all(m != 0 for x, m in zip(vec, moved) if x == 0)
@@ -320,44 +308,29 @@ class _PathMismatch(Exception):
 
 
 def _replay_matches(
-    vec: tuple[Fraction, ...],
-    shadow: ShadowVector,
-    step: Fraction | None,
-    depths: tuple[int, ...],
-    trace: DecisionTrace,
-) -> tuple[bool, bool | None]:
-    """Replay phase 1 along the recorded signs: (repeats, stable).
+    vec: Sequence[RationalLike], depths: tuple[int, ...], trace: DecisionTrace
+) -> bool:
+    """Replay phase 1 along the recorded signs: does the decision path repeat?
 
-    The combine loop runs over m_i, weight i of w + step*s. `repeats`: each
-    comparison has the next record's functional, and the run reaches the
-    same depths and uses every record. `stable`: besides, each moved diff
-    has the recorded sign strictly, so a run of its own at w + step*s makes
-    the same decisions. With `step` None, m_i is w_i and `stable` is None.
-    Values and signs at w are the audit's, not checked here. A moved
-    weight below zero raises DomainError. No record is built.
+    The combine loop runs over the weights, and each comparison takes the
+    next record's realized sign. The path repeats when each comparison has
+    that record's functional, and the run reaches the same depths and uses
+    every record. Values and signs are the audit's and the witness
+    re-evaluation's to check, not this replay's. No record is built.
     """
-    moved = _moved_weights(vec, shadow, step)[1]
-    if min(moved) < 0:
-        raise DomainError(f"step {format_rational(step)} makes a weight negative")
     pending = iter(trace.records)
-    stable = step is not None
 
     def decide(items, diff) -> int:
-        nonlocal stable
         record = next(pending, None)
         if record is None or record[0] != tuple(items):
             raise _PathMismatch
-        recorded = record[2]
-        # A moved tie has sign 0, which is never the recorded sign.
-        if (diff > 0) - (diff < 0) != recorded:
-            stable = False
-        return recorded
+        return record[2]
 
     try:
-        repeats = phase1_depths(moved, add, sub, decide) == depths and next(pending, None) is None
+        redone = phase1_depths(clear_denominators(vec)[1], add, sub, decide)
     except _PathMismatch:
-        repeats = False
-    return repeats, None if step is None else stable and repeats
+        return False
+    return redone == depths and next(pending, None) is None
 
 
 def check_instance(
@@ -375,30 +348,36 @@ def check_instance(
     it names each failure and orders the failures by precedence. The
     checks: the depth sequence reconstructs, the tree cost matches the DP
     oracle, and so does the exhaustive oracle where it runs; the trace
-    passes the policy audit (one `trace._audit` pass, which checks every
-    record against (w, s) and bounds the witness); the combine loop makes
-    every recorded comparison; re-solving at the stability witness repeats
-    the decision path tie-free; and, given a family, that step breaks the
-    family's defining equalities. One replay of the combine loop,
-    `_replay_matches`, checks the path as it goes and builds no records;
-    equivalence is the audit and that path together. Unless that replay
-    ran at the witness and was stable, the witness's own re-evaluation
-    (as in `stability_witness`) runs too, and a witness that fails it
-    raises StructureError. Failures are recorded, never raised, except a
-    corrupt trace record, one whose value is wrong, which raises
-    CorruptTraceError. When the witness step would leave the nonnegative
-    domain (possible with the negative orientation) the perturbed re-run is
-    clamped to the largest admissible step, and at boundary points with no
-    admissible step it is skipped; both cases are labeled, not failed.
-    A precomputed `dp_cost`, or cost in `brute` (cost, optima), that is not
-    an exact int or Fraction raises StructureError.
+    passes the policy audit; the combine loop makes every recorded
+    comparison; the decision path holds at a step in the domain; and,
+    given a family, the witness step breaks the family's defining
+    equalities.
+
+    Each certificate has one owner. The audit (`trace._audit`, one pass)
+    checks each record against (w, s) and bounds the witness a*. The
+    witness re-evaluation (`trace._confirm_witness`) checks every record's
+    sign at w + a*s, once for every run with a witness; a witness that
+    fails it raises StructureError. The replay (`_replay_matches`) checks
+    the path. Each f(w + a*s) is linear in a, so the audit's sign as
+    a -> 0+ and the re-evaluation's at a* fix it on all of (0, a*]: a run
+    is stable at any step there exactly when the path repeats. Equivalence
+    is the audit and the path together.
+
+    Failures are recorded, never raised, except a corrupt trace record,
+    one whose value is wrong, which raises CorruptTraceError. When the
+    witness would leave the nonnegative domain (possible with the negative
+    orientation) the step is clamped to the largest admissible one, and at
+    boundary points with no admissible step stability is skipped; both
+    cases are labeled, not failed. Weights, a precomputed `dp_cost` or the
+    cost in `brute` (cost, optima) that is not an exact int or Fraction
+    raises StructureError.
     """
     vec = require_nonnegative_weights(w)
     n = len(vec)
     if policy not in POLICIES:
         raise DomainError(f"policy must be one of {POLICIES}, got {policy!r}")
     if dp_cost is not None:
-        _require_exact("dp_cost", dp_cost)
+        dp_cost = _require_exact("dp_cost", dp_cost)
     if brute is not None:
         _require_exact("brute cost", brute[0])
     orientation = POLICY_ORIENTATION[policy]
@@ -407,7 +386,8 @@ def check_instance(
     depths, trace = hu_tucker_phase1(vec, shadow)
     tree = reconstruct_from_depths(depths)
     feasible = tree is not None
-    dp_cost = dp_optimal_cost(vec) if dp_cost is None else Fraction(dp_cost)
+    if dp_cost is None:
+        dp_cost = dp_optimal_cost(vec)
     cost = None if tree is None else tree_cost(tree, vec)
     optimal = feasible and cost == dp_cost
 
@@ -419,25 +399,21 @@ def check_instance(
     left: bool | None = None
     stability = "not-run"
     stability_mode: str | None = None
-    step: Fraction | None = None
     if witness is not None:
+        _confirm_witness(trace, terms, witness, scale)
         if family is not None:
             left = leaves_family(family, vec, shadow, witness)
         cap = max_step_in_domain(vec, shadow)
         if cap is not None and cap == 0:
             stability = "skipped-boundary"
         else:
-            step = witness if cap is None or witness <= cap else cap
-            stability_mode = "witness" if step == witness else "clamped"
-    repeats, stable = _replay_matches(vec, shadow, step, depths, trace)
-    # A stable replay at the witness has tested every record's sign there.
-    if witness is not None and not (stable and stability_mode == "witness"):
-        _confirm_witness(trace, terms, witness, scale)
+            stability_mode = "witness" if cap is None or witness <= cap else "clamped"
+    repeats = _replay_matches(vec, depths, trace)
     # The audit checked each record against its functional at (w, s), and the
     # replay checked that the functionals are the combine loop's.
     equivalent = policy_verified and repeats
-    if step is not None:
-        stability = "pass" if stable else "fail"
+    if stability_mode is not None:
+        stability = "pass" if repeats else "fail"
 
     if brute is None and n <= ORACLE_CAP:
         brute = brute_force_optimal(vec)
@@ -478,10 +454,11 @@ def _lipschitz_parts(
         raise StructureError(
             f"weights have length {len(vec)} but delta has length {len(delta)}"
         )
-    moved = require_nonnegative_weights(x + Fraction(d) for x, d in zip(vec, delta))
+    delta = [_require_exact("delta entry", d) for d in delta]
+    moved = require_nonnegative_weights(map(add, vec, delta))
     before = dp_optimal_cost(vec)
     after = dp_optimal_cost(moved)
-    bound = (len(vec) - 1) * sum((abs(Fraction(d)) for d in delta), Fraction(0))
+    bound = (len(vec) - 1) * sum(map(abs, delta), Fraction(0))
     return before, after, bound
 
 
@@ -489,7 +466,9 @@ def check_lipschitz(w: Sequence[RationalLike], delta: Sequence[RationalLike]) ->
     """|OPT(w + delta) - OPT(w)| <= (n - 1) * sum |delta_i|, exactly.
 
     The modulus comes from leaf depths never exceeding n - 1. Both endpoints
-    must be in the nonnegative domain; a violation raises DomainError.
+    must be in the nonnegative domain; a violation raises DomainError. An
+    entry of either vector that is not an int or a Fraction raises
+    StructureError.
     """
     before, after, bound = _lipschitz_parts(w, delta)
     return abs(after - before) <= bound

@@ -200,14 +200,20 @@ def stability_witness(
 
 
 def _confirm_witness(trace: DecisionTrace, terms: list, witness: Fraction, scale: int) -> None:
-    """`stability_witness`'s re-evaluation at a*, from `_audit`'s terms and scale."""
+    """Check every record's sign at w + a*s, a the witness, from `_audit`'s terms and scale.
+
+    The one test of signs at a moved point, shared by `stability_witness`
+    and `check_instance`. A record whose sign there is not its realized
+    sign raises StructureError. Each f(w + a*s) is linear in a, so with the
+    audit's sign as a -> 0+ this fixes every sign on (0, a*].
+    """
     ad = witness.denominator
     an = witness.numerator * scale
-    for step, ((_, _, realized), (raw, drift)) in enumerate(zip(trace.records, terms), 1):
+    for step, (raw, drift), record in zip(range(1, len(terms) + 1), terms, trace.records):
         # sign(f(w) + a*f(s)) via the numerator raw*ad + an*drift*scale over
         # the positive denominator scale*ad.
         moved = raw * ad + an * drift
-        if (moved > 0) - (moved < 0) != realized:
+        if (moved > 0) - (moved < 0) != record[2]:
             raise StructureError(f"witness failed its own re-evaluation at step {step}")
 
 
@@ -263,9 +269,12 @@ def load_trace(text: str, n: int) -> DecisionTrace:
     Lines end at `\n` (a `\r` before it is allowed), and a line holding only
     spaces, tabs and `\r` is ignored. Any malformed line, unknown key, or
     record that contradicts itself raises FormatError naming the line: steps
-    must count up from 1, the tie flag must say whether the value is 0, and
-    a nonzero value's sign must be the branch's (L negative, R positive).
+    must count up from 1, every coefficient index must be in 1..n, the tie
+    flag must say whether the value is 0, and a nonzero value's sign must be
+    the branch's (L negative, R positive).
     """
+    if n < 1:
+        raise FormatError(f"trace instance size must be >= 1, got {n}")
     # Imported here, so that importing this module does not load json.
     import json
 
@@ -302,17 +311,19 @@ def load_trace(text: str, n: int) -> DecisionTrace:
                 line=lineno,
             )
         try:
-            records.append(_record_from_obj(obj, len(records) + 1, coeff_memo, value_memo))
+            records.append(_record_from_obj(obj, len(records) + 1, n, coeff_memo, value_memo))
         except (StructureError, FormatError) as exc:
             raise FormatError(str(exc), line=lineno) from exc
-    try:
-        return DecisionTrace(n=n, records=tuple(records))
-    except StructureError as exc:
-        raise FormatError(str(exc)) from exc
+    # Each line's indices are checked as it is read.
+    return DecisionTrace._make((n, tuple(records)))
 
 
 def _record_from_obj(
-    obj: dict, expected: int, coeff_memo: dict[str, RationalLike], value_memo: dict[str, Fraction]
+    obj: dict,
+    expected: int,
+    n: int,
+    coeff_memo: dict[str, RationalLike],
+    value_memo: dict[str, Fraction],
 ) -> ComparisonRecord:
     raw_coeffs = obj["coeffs"]
     if not isinstance(raw_coeffs, dict):
@@ -356,6 +367,8 @@ def _record_from_obj(
         raise FormatError(
             f"trace steps must increase from 1 without gaps; expected {expected}, got {step}"
         )
+    if functional.max_index() > n:
+        raise FormatError(f"step {step} references index {functional.max_index()} outside 1..{n}")
     if tie != (value == 0):
         raise FormatError(f"step {step}: tie flag contradicts the recorded value")
     if not tie and realized != sign(value):

@@ -23,12 +23,10 @@ from tiebreak.alphabetic import (
     format_tree,
     hu_tucker,
     hu_tucker_phase1,
-    leaves_in_order,
     phase1_explicit_shadow,
     reconstruct_from_depths,
     tree_cost,
     tree_depths,
-    validate_tree,
 )
 from tiebreak.core import LinearFunctional
 from tiebreak.errors import CapacityError, DomainError, StructureError
@@ -50,12 +48,11 @@ def _shadow_for(policy: str, n: int):
 # -- tree values ------------------------------------------------------------
 
 
-def test_leaf_order_and_validation() -> None:
-    tree = ((1, 2), (3, (4, 5)))
-    assert leaves_in_order(tree) == (1, 2, 3, 4, 5)
-    assert validate_tree(tree) == 5
-    with pytest.raises(StructureError, match="out of order"):
-        validate_tree((2, 1))
+def _leaves_in_order(tree) -> tuple[int, ...]:
+    """Leaf indices in left-to-right order."""
+    if isinstance(tree, int):
+        return (tree,)
+    return _leaves_in_order(tree[0]) + _leaves_in_order(tree[1])
 
 
 def _format_tree_recursively(tree) -> str:
@@ -416,7 +413,7 @@ def test_solver_is_optimal_on_random_instances() -> None:
         for policy in (LEFTMOST, RIGHTMOST):
             tree, _ = hu_tucker(w, policy)
             assert tree is not None
-            assert validate_tree(tree) == n
+            assert _leaves_in_order(tree) == tuple(range(1, n + 1))
             assert tree_cost(tree, w) == dp_optimal_cost(w)
 
 

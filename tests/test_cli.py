@@ -122,6 +122,21 @@ def test_verify_trace_rejects_a_step_tie_or_branch_its_line_contradicts(
     assert captured.err.startswith(f"error: line {line}: ")
 
 
+def test_verify_trace_names_the_line_of_an_index_outside_the_instance(
+    weights_file, tmp_path, capsys
+) -> None:
+    trace = tmp_path / "trace.txt"
+    trace.write_text(
+        '\n{"step": 1, "coeffs": {"1": "-1", "4": "1"}, "value": "1", "tie": false, "branch": "R"}\n',
+        encoding="utf-8",
+    )
+    code = main(["verify-trace", "--trace", str(trace), "--weights", weights_file("1 1 1"), "--orientation", "neg"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: line 2: step 1 references index 4 outside 1..3\n"
+
+
 def test_oracle_with_and_without_enumeration(weights_file, capsys) -> None:
     wfile = weights_file("1 2 3")
     assert main(["oracle", "--weights", wfile]) == 0

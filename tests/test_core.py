@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,12 @@ from tiebreak.core import (
     require_nonnegative_weights,
     sign,
 )
+from tiebreak.alphabetic import tree_cost
 from tiebreak.errors import DomainError, FormatError, StructureError
+from tiebreak.harness import check_instance, check_lipschitz
+from tiebreak.partition import partition_value
+from tiebreak.perturb import dyadic_shadow
+from tiebreak.trace import DecisionTrace, verify_policy
 
 #: More digits than int() converts from text by default (4,300).
 HUGE = "1" * 5000
@@ -99,6 +105,35 @@ def test_require_nonnegative_weights_names_the_offender() -> None:
     with pytest.raises(DomainError, match="weight 2"):
         require_nonnegative_weights([Fraction(1), Fraction(-1, 3)])
     assert require_nonnegative_weights([0, 1]) == (Fraction(0), Fraction(1))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1", None], ids=repr)
+def test_exact_vectors_take_only_ints_and_fractions(bad: object) -> None:
+    # A float would be read as its binary expansion, and a bool as 0 or 1.
+    for convert in (require_nonnegative_weights, clear_denominators):
+        with pytest.raises(StructureError, match=re.escape(f"weight must be an exact int or Fraction, got {bad!r}")):
+            convert([Fraction(1), bad])
+    with pytest.raises(StructureError, match="functional coefficient must be an exact int or Fraction"):
+        LinearFunctional({1: 1, 2: bad})
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: check_instance((0.1, 0.2, 0.3), "leftmost"),
+        lambda: tree_cost((1, 2), (0.5, 0.25)),
+        lambda: partition_value((1, 2), (0.5, 0.25)),
+        lambda: verify_policy(DecisionTrace(n=3, records=()), (1.0, 1.0, 1.0), dyadic_shadow(3)),
+        lambda: check_lipschitz((1, 2), (0.5, 0)),
+        lambda: LinearFunctional({1: 0.5, 2: True}),
+    ],
+    ids=["check_instance", "tree_cost", "partition_value", "verify_policy", "check_lipschitz", "LinearFunctional"],
+)
+def test_every_exact_entry_point_rejects_floats(run) -> None:
+    # Each of these once ran on a float's binary expansion: check_instance
+    # passed (0.1, 0.2, 0.3) with cost 8106479329266893/9007199254740992.
+    with pytest.raises(StructureError, match=r"must be an exact int or Fraction, got (0\.5|0\.1|1\.0)$"):
+        run()
 
 
 def test_clear_denominators() -> None:

@@ -55,6 +55,8 @@ from tiebreak.perturb import (
 from tiebreak.trace import (
     ComparisonRecord,
     DecisionTrace,
+    _audit,
+    _confirm_witness,
     stability_witness,
     verify_policy,
 )
@@ -393,18 +395,20 @@ def test_check_instance_runs_the_combine_loop_twice(monkeypatch) -> None:
 
 # The three cases of the test above, one per stability mode.
 _STABILITY_MODES = [
-    (generate(Family(PAIR_SUM_TIES), 24, "passes"), RIGHTMOST, "pass", "witness", 0),
-    ((Fraction(1, 64),) * 3, LEFTMOST, "pass", "clamped", 1),
-    ((0, 1, 1), LEFTMOST, "skipped-boundary", None, 1),
+    (generate(Family(PAIR_SUM_TIES), 24, "passes"), RIGHTMOST, "pass", "witness"),
+    ((Fraction(1, 64),) * 3, LEFTMOST, "pass", "clamped"),
+    ((0, 1, 1), LEFTMOST, "skipped-boundary", None),
 ]
 
 
-@pytest.mark.parametrize("w, policy, stability, mode, rechecks", _STABILITY_MODES)
-def test_witness_recheck_runs_only_where_the_replay_did_not_confirm_it(
-    monkeypatch, w, policy: str, stability: str, mode: str | None, rechecks: int
+@pytest.mark.parametrize(
+    "w, policy, stability, mode", _STABILITY_MODES, ids=["witness", "clamped", "skipped-boundary"]
+)
+def test_witness_recheck_runs_once_per_verified_run(
+    monkeypatch, w, policy: str, stability: str, mode: str | None
 ) -> None:
-    # A stable replay at the witness tests every record's sign there, so the
-    # witness's own re-evaluation runs only for clamped and skipped runs.
+    # The witness re-evaluation is the one test of signs at w + a*s, so it
+    # runs once for every run the audit verified, whatever its stability.
     confirm = harness._confirm_witness
     calls = []
 
@@ -416,7 +420,7 @@ def test_witness_recheck_runs_only_where_the_replay_did_not_confirm_it(
     verdict = check_instance(w, policy)
     assert verdict.passed
     assert (verdict.stability, verdict.stability_mode) == (stability, mode)
-    assert calls == [verdict.witness] * rechecks
+    assert calls == [verdict.witness]
 
 
 def test_a_wrong_witness_fails_its_recheck_in_check_instance(monkeypatch) -> None:
@@ -573,14 +577,38 @@ def _audit_passes(w, s, trace) -> bool:
         return False
 
 
+def _signs_hold_at(w, s, step, trace) -> bool:
+    """The witness re-evaluation at `step`, from terms computed here.
+
+    The terms are each functional's own (f(w) * scale, f(s)), not the
+    recorded values, so a corrupt value (the audit's to reject) does not
+    mask a sign.
+    """
+    scale, scaled = clear_denominators(w)
+    terms = [
+        (sum(c * scaled[i - 1] for i, c in f), sum(c * s.entries[i - 1] for i, c in f))
+        for f, _, _ in trace.records
+    ]
+    try:
+        _confirm_witness(trace, terms, step, scale)
+    except StructureError:
+        return False
+    return True
+
+
 def _certified(w, s, step, depths, trace) -> tuple[bool, bool | None]:
-    """What check_instance reads: (audit passes and path repeats, stable)."""
-    repeats, stable = _replay_matches(w, s, step, depths, trace)
+    """What check_instance reads: (audit passes and path repeats, stable at `step`).
+
+    Stable is the path repeating with every sign holding at w + step*s;
+    None when there is no step.
+    """
+    repeats = _replay_matches(w, depths, trace)
+    stable = None if step is None else repeats and _signs_hold_at(w, s, step, trace)
     return _audit_passes(w, s, trace) and repeats, stable
 
 
 def _replay_steps(w, s, trace) -> list[Fraction | None]:
-    """No step, the step `check_instance` would replay at, and 7 times that step."""
+    """No step, the step whose stability `check_instance` reports, and 7 times that step."""
     witness = stability_witness(trace, w, s)
     cap = max_step_in_domain(w, s)
     if cap == 0:
@@ -590,11 +618,12 @@ def _replay_steps(w, s, trace) -> list[Fraction | None]:
 
 
 def test_replay_matches_the_two_reference_replays() -> None:
-    # The audit and the one replay together must give exactly the two
-    # separate replays' verdicts, on every family, size and policy, on the
-    # solve's trace and on each forgery, with no step, at the replayed step
-    # and past it. The audit checks each record and the replay the path, so
-    # neither alone gives the explicit replay's verdict.
+    # The audit, the witness re-evaluation and the one replay together must
+    # give exactly the two separate replays' verdicts, on every family, size
+    # and policy, on the solve's trace and on each forgery, with no step, at
+    # the step check_instance uses and past it. The audit checks each record,
+    # the re-evaluation the signs at the step and the replay the path, so no
+    # one of them alone gives a reference's verdict.
     outcomes: Counter = Counter()
     for name in FAMILY_NAMES:
         for n in range(1, 41):
@@ -616,15 +645,14 @@ def test_replay_matches_the_two_reference_replays() -> None:
                                     _perturbed_reference(w, s, step, depths, case),
                                 )
                             except DomainError:
-                                with pytest.raises(DomainError, match="negative"):
-                                    _replay_matches(w, s, step, depths, case)
-                                outcomes["domain"] += 1
+                                # Past the domain: check_instance clamps the
+                                # step, so it never certifies one there.
                                 continue
                         got = _certified(w, s, step, depths, case)
                         assert got == expected, (name, n, policy, step)
                         outcomes[got] += 1
     assert {(a, b) for a in (True, False) for b in (True, False)} <= set(outcomes)
-    assert outcomes[(True, None)] and outcomes[(False, None)] and outcomes["domain"]
+    assert outcomes[(True, None)] and outcomes[(False, None)]
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -645,7 +673,7 @@ def test_explicit_replay_agrees_with_the_record_stream_comparison(name: str) -> 
                 equivalent, stable = _certified(w, s, None, depths, case)
                 assert stable is None
                 assert equivalent == _stream_matches(w, s, depths, case)
-            assert _replay_matches(w, s, None, depths, trace) == (True, None)
+            assert _replay_matches(w, depths, trace) is True
 
 
 @pytest.mark.parametrize("kind", ["value", "functional", "branch", "dropped", "added"])
@@ -656,40 +684,37 @@ def test_forged_traces_fail_the_replays(kind: str) -> None:
     assert _certified(w, s, witness, depths, trace) == (True, True)
     equivalent, stable = _certified(w, s, witness, depths, _forgeries(trace)[kind])
     assert not equivalent
-    # The perturbed replay checks the path, not values: the audit rejects
-    # those.
+    # The path and the moved signs say nothing about values: the audit
+    # rejects those.
     assert stable == (kind == "value")
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_perturbed_replay_fails_where_the_path_ties(policy: str) -> None:
     # The smallest a > 0 with f(w) + a*f(s) = 0 for some record: below it
-    # every recorded sign holds, and at it the replay meets a tie. The tied
-    # record's sign is -1 under one policy and +1 under the other, so a tie
-    # read as either sign would go unnoticed under one of them.
+    # every recorded sign holds, and at it the re-evaluation meets a tie.
+    # The tied record's sign is -1 under one policy and +1 under the other,
+    # so a tie read as either sign would go unnoticed under one of them.
     w = generate(Family(UNIFORM_RANDOM), 12, "tie-at-step")
     s, depths, trace = _solve(w, policy)
     roots = []
-    for r in trace.records:
+    for step, r in enumerate(trace.records, 1):
         drift = sum(c * s.entries[i - 1] for i, c in r.functional)
         if r.primary_value * drift < 0:
-            roots.append((-r.primary_value / drift, r.realized_sign))
-    first, tied_sign = min(roots)
+            roots.append((-r.primary_value / drift, step, r.realized_sign))
+    first, tied_step, tied_sign = min(roots)
     assert tied_sign == (-1 if policy == LEFTMOST else 1)
     cap = max_step_in_domain(w, s)
     assert cap is None or first <= cap
     witness = stability_witness(trace, w, s)
     assert witness < first
-    assert _replay_matches(w, s, witness, depths, trace) == (True, True)
-    # The path is replayed to the end after the moved signs fail.
-    assert _replay_matches(w, s, first, depths, trace) == (True, False)
-
-
-def test_perturbed_replay_keeps_moved_weights_nonnegative() -> None:
-    w = (Fraction(0), Fraction(1), Fraction(1))
-    s, depths, trace = _solve(w, LEFTMOST)
-    with pytest.raises(DomainError, match="negative"):
-        _replay_matches(w, s, Fraction(1), depths, trace)
+    _, first_failure, _, terms, scale = _audit(trace, w, s)
+    assert first_failure is None
+    _confirm_witness(trace, terms, witness, scale)
+    with pytest.raises(StructureError, match=f"re-evaluation at step {tied_step}$"):
+        _confirm_witness(trace, terms, first, scale)
+    # The path does not depend on the step.
+    assert _replay_matches(w, depths, trace)
 
 
 # -- continuity -------------------------------------------------------------

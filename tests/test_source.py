@@ -124,6 +124,39 @@ def test_benchmark_tracer_counts_ties_and_support_from_records(monkeypatch) -> N
         assert run.counts["alphabetic.support"] == support
 
 
+def test_benchmark_campaign_hooks_see_every_check_and_its_one_rebuild(monkeypatch) -> None:
+    # The campaign workload times each check by rebinding
+    # `harness.check_instance`, and pins each run's leaf depths by rebinding
+    # `harness.reconstruct_from_depths`, reading the depths only when a check
+    # rebuilds exactly once. Both hooks act only through the module globals.
+    harness = tiebreak.harness
+    check_instance = harness.check_instance
+    reconstruct = harness.reconstruct_from_depths
+    checks: list[tuple[tuple, str, list]] = []
+
+    def counting_check(w, policy, **kwargs):
+        checks.append((tuple(w), policy, []))
+        return check_instance(w, policy, **kwargs)
+
+    def capturing_reconstruct(depths):
+        checks[-1][2].append(depths)
+        return reconstruct(depths)
+
+    monkeypatch.setattr(harness, "check_instance", counting_check)
+    monkeypatch.setattr(harness, "reconstruct_from_depths", capturing_reconstruct)
+    families = [tiebreak.Family.parse(token) for token in ("all-equal", "pair-sum-ties", "zero-sprinkled")]
+    config = tiebreak.CampaignConfig(seed=5, counts=tuple((f, 3) for f in families), n_max=12)
+    report = tiebreak.run_campaign(config)
+
+    assert len(checks) == 9 * len(config.policies) == len(report.instances)
+    assert sorted((v.weights, v.policy) for v in report.instances) == sorted(
+        (w, policy) for w, policy, _ in checks
+    )
+    for w, policy, rebuilt in checks:
+        shadow = tiebreak.dyadic_shadow(len(w), tiebreak.POLICY_ORIENTATION[policy])
+        assert rebuilt == [tiebreak.hu_tucker_phase1(w, shadow)[0]]
+
+
 def test_every_exported_name_is_its_home_modules_object() -> None:
     for name in tiebreak.__all__:
         home = import_module(f"tiebreak.{tiebreak._HOME[name]}")

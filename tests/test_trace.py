@@ -282,6 +282,17 @@ def test_dump_of_an_empty_trace_is_empty() -> None:
     assert load_trace("", 1).records == ()
 
 
+def test_load_names_the_line_of_an_index_outside_the_instance() -> None:
+    # Blank lines are skipped, so step 1 is on line 2 here.
+    line = (
+        '{"step": 1, "coeffs": {"1": "-1", "4": "1"}, "value": "1", "tie": false, "branch": "R"}'
+    )
+    with pytest.raises(FormatError, match=r"^line 2: step 1 references index 4 outside 1\.\.3$") as info:
+        load_trace("\n" + line, 3)
+    assert info.value.line == 2
+    assert load_trace("\n" + line, 4).records[0].functional == LinearFunctional({1: -1, 4: 1})
+
+
 def test_load_skips_blank_lines_and_reports_line_numbers() -> None:
     _, _, _, trace = _solve((1, 2, 3), LEFTMOST)
     text = dump_trace(trace)
