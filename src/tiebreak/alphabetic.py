@@ -35,17 +35,21 @@ the optimal cost in O(n^2): each interval searches only the splits between
 the best splits of its two one-shorter subintervals, the Knuth-Yao window
 (Knuth, Acta Informatica 1 (1971); Yao, STOC 1980); it fills one
 triangular table row by row, from the bottom. The exhaustive oracle,
-for n <= 12, keeps for each proper sub-interval every cost an ordered tree
-over it can have, with the number of trees that have it, and takes the
+for n <= 12, keeps for each proper sub-interval the costs an ordered tree
+over it can have, with the number of trees that have each, and takes the
 minimum, with its count, over the full interval's trees alone. It never
 minimizes over a sub-interval, so it relies on neither the optimal
-substructure nor the window that the dynamic program rests on. Its work
-grows with the number of distinct costs, not of trees, so it is fastest on
-the tie-heavy inputs it exists to check. At n = 11 (2-vCPU VM, Python
-3.11) it takes about 0.1 ms for equal weights, 0.15-0.47 ms for pair-sum
-ties and three equal blocks, 0.64-0.79 ms for palindromes and 0.96-1.28 ms
-for zero-sprinkled and random vectors, where listing the costs of all
-16,796 trees took 1.04-1.31 ms.
+substructure nor the window that the dynamic program rests on. It prunes
+by depth instead: the weight-balanced split tree's cost bounds the optimum
+from above, and a sub-interval's subtree sits at depth 1 or more (2 or more
+when it holds neither end leaf), so a cost that only a dearer tree could
+give the sub-interval is dropped. Each table is sorted by cost, so every
+loop stops at the bound. At n = 11 (2-vCPU VM, Python 3.11.7; best of 40
+calls, five vectors per family) it takes 0.15 ms for equal weights,
+0.16-0.24 ms for three equal blocks and pair-sum ties, 0.17-0.31 ms for
+palindromes, 0.19-0.48 ms for zero-sprinkled and 0.32-0.71 ms for random
+vectors; the same tables unpruned took 0.20 ms, 0.26-1.22 ms, 1.12-1.66
+ms, 1.79-2.25 ms and 1.79-2.56 ms.
 """
 
 from __future__ import annotations
@@ -569,20 +573,59 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     return gen(1, n)
 
 
+def _balanced_split_cost(prefix: list[int]) -> int:
+    """Cost of the weight-balanced split tree, in the scaled ints of `prefix`.
+
+    Each interval of two or more leaves splits where its left part's weight
+    is closest to half its total, |2 * left - total| smallest, taking the
+    first such split on ties. Like any full tree, it costs at least the
+    optimum.
+    """
+    cost = 0
+    # Intervals as prefix bounds: leaves lo + 1..hi weigh prefix[hi] - prefix[lo].
+    stack = [(0, len(prefix) - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo > 1:
+            twice = prefix[lo] + prefix[hi]
+            cost += prefix[hi] - prefix[lo]
+            # |2 * left - total| for the split before leaf k + 1.
+            k = lo + 1
+            gap = abs(2 * prefix[k] - twice)
+            for m in range(k + 1, hi):
+                g = abs(2 * prefix[m] - twice)
+                if g < gap:
+                    k, gap = m, g
+            stack += ((lo, k), (k, hi))
+    return cost
+
+
 def brute_force_optimal(w: Sequence[RationalLike]) -> tuple[Fraction, int]:
     """Minimum cost over every ordered tree, and how many trees attain it.
 
-    For each proper sub-interval, tabulates every cost an ordered tree over
-    it can have, with the number of trees that have it: a split combines
+    For each proper sub-interval, tabulates the costs an ordered tree over
+    it can have, with the number of trees that have each: a split combines
     its left and right tables pairwise as cost(L) + cost(R) + W(interval),
     with count(L) * count(R) trees. The full interval gets no table. Its
     minimum is taken over the pairs of every root split, and its count sums
     count(L) * count(R) over the pairs that attain it. No minimum is ever
     taken over a sub-interval, so the check rests on no optimal-substructure
     argument or split window and stays independent of `dp_optimal_cost`.
-    Ties shrink the tables: 11 equal weights have 16,796 trees and 27
-    distinct costs, and no table holds more than 21 entries. Capped at
-    n = 12 (58,786 trees).
+
+    The tables keep only what a tree no dearer than UB, the cost of the
+    weight-balanced split tree, could use. In a full tree, a proper interval
+    I's subtree sits at depth 1 or more, and 2 or more when I holds neither
+    leaf 1 nor leaf n, because the root's children hold a prefix and a
+    suffix; every leaf outside I sits at depth 1 or more. So a tree that
+    gives I the cost c costs at least c + W(1..n), plus W(I) when I is
+    interior. An entry for which that exceeds UB is in no optimal tree,
+    since the optimum is at most UB, and entries equal to the bound stay,
+    since UB may be the optimum. A kept entry is made only of kept entries
+    (a part costs at most c - W(I), and its interior term is at most W(I)),
+    so its count is exact. Tables are lists sorted by cost, so each loop
+    stops at its first entry past the bound. 11 equal weights have 16,796
+    trees and 27 distinct costs, and no pruned table holds more than 8
+    entries. Capped at n = 12 (58,786 trees).
     """
     vec = require_nonnegative_weights(w)
     n = len(vec)
@@ -592,36 +635,51 @@ def brute_force_optimal(w: Sequence[RationalLike]) -> tuple[Fraction, int]:
         return Fraction(0), 1
     scale, scaled = clear_denominators(vec)
     prefix = [0, *accumulate(scaled)]
-    # counts[i][j]: cost -> number of trees over leaves i..j, 0-based. Every
-    # entry starts as the single-leaf table {0: 1}; proper sub-intervals
-    # longer than one leaf are filled in order of length before any interval
-    # reads them, and the full interval's entry is never filled.
-    counts: list[list[dict[int, int]]] = [[{0: 1}] * n for _ in range(n)]
+    # UB less W(1..n): a tree costs at least an interval's entry plus W(1..n),
+    # since the interval's subtree and every leaf outside it sit at depth >= 1.
+    slack = _balanced_split_cost(prefix) - prefix[n]
+    # counts[i][j]: (cost, number of trees) over leaves i..j, 0-based, sorted
+    # by cost. Every entry starts as the single-leaf table [(0, 1)]; proper
+    # sub-intervals longer than one leaf are filled in order of length before
+    # any interval reads them, and the full interval's entry is never filled.
+    counts: list[list[list[tuple[int, int]]]] = [[[(0, 1)]] * n for _ in range(n)]
 
-    def splits(i: int, j: int) -> list[tuple[dict[int, int], dict[int, int]]]:
+    def splits(i: int, j: int) -> list[tuple[list, list]]:
         # Each split's two tables, the smaller first: costs add commutatively,
-        # and the loops below pay per entry of the outer table.
+        # and the loops below pay per entry of the outer table. A split with
+        # an empty table has no tree within the bound.
         pairs = []
         for k in range(i, j):
             left, right = counts[i][k], counts[k + 1][j]
-            pairs.append((left, right) if len(left) <= len(right) else (right, left))
+            if left and right:
+                pairs.append((left, right) if len(left) <= len(right) else (right, left))
         return pairs
 
     for span in range(2, n):
         for i in range(n - span + 1):
             j = i + span - 1
             weight = prefix[j + 1] - prefix[i]
+            # The dearest entry a tree within the bound can use: an interior
+            # interval's subtree sits at depth >= 2, adding W(i..j) once more.
+            limit = slack - weight if 0 < i and j < n - 1 else slack
             table: dict[int, int] = {}
             get = table.get
             for small, large in splits(i, j):
-                entries = large.items()
-                for c1, n1 in small.items():
+                least = large[0][0]
+                for c1, n1 in small:
                     base = c1 + weight
-                    for c2, n2 in entries:
+                    if base + least > limit:
+                        break
+                    for c2, n2 in large:
                         cost = base + c2
+                        if cost > limit:
+                            break
                         table[cost] = get(cost, 0) + n1 * n2
-            counts[i][j] = table
+            counts[i][j] = sorted(table.items())
     roots = splits(0, n - 1)
-    best = min(min(map(c1.__add__, large)) for small, large in roots for c1 in small)
-    count = sum(n1 * large.get(best - c1, 0) for small, large in roots for c1, n1 in small.items())
+    best = min(small[0][0] + large[0][0] for small, large in roots)
+    count = 0
+    for small, large in roots:
+        costs = dict(large)
+        count += sum(n1 * costs.get(best - c1, 0) for c1, n1 in small)
     return Fraction(best + prefix[n], scale), count

@@ -67,9 +67,12 @@ def format_rational(q: RationalLike) -> str:
 
     A numerator or denominator with more digits than Python converts to
     text (`sys.get_int_max_str_digits()`, 4,300 by default) is a
-    FormatError, as it is for `parse_rational`.
+    FormatError, as it is for `parse_rational`. Anything but an int or a
+    Fraction raises StructureError.
     """
-    q = Fraction(q)
+    # An int has a numerator and a denominator too, so it needs no Fraction.
+    if type(q) is not Fraction and type(q) is not int:
+        q = _require_exact("rational", q)
     try:
         if q.denominator == 1:
             return str(q.numerator)

@@ -300,7 +300,7 @@ class InstanceVerdict:
 
 
 def weights_text(w: Sequence[RationalLike]) -> str:
-    return " ".join(format_rational(Fraction(x)) for x in w)
+    return " ".join(map(format_rational, w))
 
 
 class _PathMismatch(Exception):

@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
-from .core import RationalLike
+from .core import RationalLike, _require_exact
 from .errors import DomainError, StructureError
 
 POSITIVE = "positive"
@@ -67,9 +67,11 @@ def max_step_in_domain(w: Sequence[RationalLike], s: ShadowVector) -> Fraction |
 
     Returns None when unbounded (no negative shadow entry pushes a weight
     down), and 0 when any boundary entry (weight 0) moves negative
-    immediately. A shadow of another length than w raises StructureError.
+    immediately. A shadow of another length than w, or a weight that is not
+    an int or a Fraction, raises StructureError.
     """
     check_shadow_length(len(w), s)
+    w = [wi if type(wi) is Fraction or type(wi) is int else _require_exact("weight", wi) for wi in w]
     # The running minimum of w_i / -s_i is the pair ln / ld, ld > 0, compared
     # by cross-multiplication; one Fraction is built at the end.
     ln = ld = None

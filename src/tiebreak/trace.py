@@ -336,6 +336,8 @@ def _record_from_obj(
             index = int(key)
         except ValueError:
             raise FormatError(f"coefficient index has too many digits ({len(key)})") from None
+        if index in coeffs:
+            raise FormatError(f"coefficient index {key!r} repeats index {index}")
         if not isinstance(text, str):
             raise FormatError(f"coefficient for index {key} must be rational text")
         coeff = coeff_memo.get(text)

@@ -17,6 +17,7 @@ from tiebreak.alphabetic import (
     LEFTMOST,
     POLICY_ORIENTATION,
     RIGHTMOST,
+    _balanced_split_cost,
     brute_force_optimal,
     dp_optimal_cost,
     enumerate_trees,
@@ -28,7 +29,7 @@ from tiebreak.alphabetic import (
     tree_cost,
     tree_depths,
 )
-from tiebreak.core import LinearFunctional
+from tiebreak.core import LinearFunctional, clear_denominators
 from tiebreak.errors import CapacityError, DomainError, StructureError
 from tiebreak.harness import FAMILY_NAMES, Family, _positional_phase1_depths, generate
 from tiebreak.perturb import ShadowVector, dyadic_shadow
@@ -268,7 +269,7 @@ def _listed_optimum(w: Sequence[Fraction]) -> tuple[Fraction, int]:
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_brute_force_matches_the_listed_reference_per_family(family: str) -> None:
-    for n in range(1, 12):
+    for n in range(1, ENUMERATION_CAP + 1):
         for seed in ("listed-a", "listed-b"):
             w = generate(Family(family), n, seed)
             assert brute_force_optimal(w) == _listed_optimum(w), (family, n, seed)
@@ -285,6 +286,29 @@ def test_brute_force_matches_the_listed_reference_on_zero_heavy_and_fractional_v
         for w in (zero_heavy, fractional):
             assert brute_force_optimal(w) == _listed_optimum(w), w
     assert brute_force_optimal((Fraction(0),) * 11) == (0, 16796)
+    # The upper bound is the optimum here, and every tree attains it.
+    assert brute_force_optimal((0,) * 12) == (0, 58786)
+
+
+def _balanced_tree(w: Sequence[Fraction], lo: int, hi: int):
+    """Reference: the weight-balanced split tree over leaves lo..hi, built
+    recursively from Fraction sums."""
+    if lo == hi:
+        return lo
+    total = sum(w[lo - 1 : hi])
+    gaps = [abs(2 * sum(w[lo - 1 : k]) - total) for k in range(lo, hi)]
+    k = lo + gaps.index(min(gaps))
+    return (_balanced_tree(w, lo, k), _balanced_tree(w, k + 1, hi))
+
+
+def test_brute_force_bound_is_the_weight_balanced_tree_and_bounds_the_optimum() -> None:
+    rng = random.Random("brute-bound")
+    vectors = [generate(Family(family), n, "bound") for family in FAMILY_NAMES for n in range(1, 13)]
+    vectors += [_random_vector(rng, rng.randint(1, 12)) for _ in range(60)]
+    for w in vectors:
+        scale, scaled = clear_denominators(w)
+        bound = Fraction(_balanced_split_cost([0, *accumulate(scaled)]), scale)
+        assert bound == tree_cost(_balanced_tree(w, 1, len(w)), w) >= dp_optimal_cost(w), w
 
 
 def _fraction_sum_cost(tree, w: Sequence[Fraction]) -> Fraction:

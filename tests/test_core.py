@@ -20,7 +20,7 @@ from tiebreak.alphabetic import tree_cost
 from tiebreak.errors import DomainError, FormatError, StructureError
 from tiebreak.harness import check_instance, check_lipschitz
 from tiebreak.partition import partition_value
-from tiebreak.perturb import dyadic_shadow
+from tiebreak.perturb import NEGATIVE, dyadic_shadow, max_step_in_domain
 from tiebreak.trace import DecisionTrace, verify_policy
 
 #: More digits than int() converts from text by default (4,300).
@@ -115,6 +115,10 @@ def test_exact_vectors_take_only_ints_and_fractions(bad: object) -> None:
             convert([Fraction(1), bad])
     with pytest.raises(StructureError, match="functional coefficient must be an exact int or Fraction"):
         LinearFunctional({1: 1, 2: bad})
+    with pytest.raises(StructureError, match=re.escape(f"weight must be an exact int or Fraction, got {bad!r}")):
+        max_step_in_domain([Fraction(1), bad], dyadic_shadow(2, NEGATIVE))
+    with pytest.raises(StructureError, match=re.escape(f"rational must be an exact int or Fraction, got {bad!r}")):
+        format_rational(bad)
 
 
 @pytest.mark.parametrize(

@@ -283,15 +283,34 @@ def _names_used(code) -> set[str]:
     return names
 
 
+def _names_used_with_helpers(func) -> set[str]:
+    """`_names_used` of `func` and of every private function of its module
+    that it, or a helper so found, loads."""
+    module = sys.modules[func.__module__]
+    used: set[str] = set()
+    todo = [func]
+    while todo:
+        names = _names_used(todo.pop().__code__) - used
+        used |= names
+        todo += [
+            getattr(module, name)
+            for name in names
+            if name.startswith("_") and callable(getattr(module, name, None))
+        ]
+    return used
+
+
 @pytest.mark.parametrize(
     "oracle", [tiebreak.alphabetic.brute_force_optimal, tiebreak.partition.brute_force_partition]
 )
 def test_exhaustive_oracles_share_no_step_with_what_they_check(oracle) -> None:
-    # An oracle that called the DP, the greedy or the combine loop would
-    # agree with them by construction.
-    used = _names_used(oracle.__code__)
+    # An oracle that called the DP, the greedy or the combine loop, itself or
+    # through a helper such as the tree oracle's cost bound, would agree with
+    # them by construction.
+    used = _names_used_with_helpers(oracle)
     assert "clear_denominators" in used
-    assert used.isdisjoint({"dp_optimal_cost", "greedy_partition", "phase1_depths"})
+    assert oracle is not tiebreak.alphabetic.brute_force_optimal or "_balanced_split_cost" in used
+    assert used.isdisjoint({"dp_optimal_cost", "greedy_partition", "phase1_depths", "hu_tucker"})
 
 
 def _file_writes(source: str) -> list[int]:

@@ -346,6 +346,7 @@ def test_load_reads_crlf_line_endings() -> None:
         ('{"step": 1, "coeffs": {"\u0662": "1"}, "value": "1", "tie": false, "branch": "R"}', "not an integer"),
         ('{"step": 1, "coeffs": {"1": "1"}, "value": "1", "tie": false, "branch": "L", "branch": "R"}', "duplicate key 'branch'"),
         ('{"step": 1, "coeffs": {"1": "-1", "1": "1"}, "value": "1", "tie": false, "branch": "R"}', "duplicate key '1'"),
+        ('{"step": 1, "coeffs": {"1": "1", "01": "-1", "2": "1"}, "value": "1", "tie": false, "branch": "R"}', "index '01' repeats index 1"),
         ('\ufeff{"step": 1, "coeffs": {"1": "1"}, "value": "1", "tie": false, "branch": "R"}', "Unexpected UTF-8 BOM"),
         ('{"step": 1, "coeffs": {"1": "1"}, "value": "1", "tie": false, "branch": "R"} {}', "Extra data"),
     ],
