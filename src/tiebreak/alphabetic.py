@@ -56,16 +56,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul, sub
+from operator import mul
 from typing import Callable, Iterator, Sequence, Union
 
-from .core import (
-    RationalLike,
-    clear_denominators,
-    require_nonnegative_weights,
-)
+from .core import RationalLike, _require_int, clear_denominators, require_nonnegative_weights
 from .errors import CapacityError, DomainError, StructureError
-from .perturb import NEGATIVE, POSITIVE, ShadowVector, check_shadow_length, dyadic_shadow
+from .perturb import NEGATIVE, POSITIVE, ShadowVector, dyadic_shadow
 from .trace import DecisionTrace, RecordSink, recorder
 
 #: A tree is a 1-based leaf index or a (left, right) pair of trees.
@@ -291,23 +287,20 @@ def _pair_items(later: _Block, earlier: _Block):
 
 
 def phase1_depths(
-    entry_weights: Sequence,
-    weight_add: Callable,
-    weight_sub: Callable,
-    decide: Callable[[list[tuple[int, int]], object], int],
+    entry_weights: Sequence[int], decide: Callable[[list[tuple[int, int]], int], int]
 ) -> tuple[int, ...]:
     """Run the combine loop with the caller's decision rule; returns leaf depths.
 
-    `entry_weights` are the leaves' weights in any arithmetic that
-    `weight_add` and `weight_sub` implement. `decide(items, diff)` must
-    return -1 when the later (minuend) operand is the smaller and +1 when
-    the earlier (subtrahend) one is; 0 is not an answer. `items` are the
-    functional's signed items, sorted by index, and `diff` is
-    `weight_sub(later, earlier)`. Operands are two nodes or two blocks' best
-    pairs, and the earlier one in left-to-right order is always the
-    subtrahend, which is what makes the emitted functionals start with a -1
-    coefficient. The solvers below decide through `trace.recorder`; the
-    harness replays decide by checking against a recorded trace instead.
+    `entry_weights` are the leaves' weights as ints. `decide(items, diff)`
+    must return -1 when the later (minuend) operand is the smaller and +1
+    when the earlier (subtrahend) one is; 0 is not an answer. `items` are
+    the functional's signed items, sorted by index, and `diff` is the later
+    operand's weight minus the earlier's. Operands are two nodes or two
+    blocks' best pairs, and the earlier one in left-to-right order is
+    always the subtrahend, which is what makes the emitted functionals
+    start with a -1 coefficient. The solvers below decide through
+    `trace.recorder`; the harness replays decide by checking against a
+    recorded trace instead.
     """
     leaves = [
         _SeqNode(wi, ((i, 1),), ((i, -1),), i, True)
@@ -322,16 +315,16 @@ def phase1_depths(
     def node_less(a: _SeqNode, b: _SeqNode) -> bool:
         # The sequence stays ordered by each node's lowest leaf.
         if a.first < b.first:
-            return decide(_node_items(b, a), weight_sub(b.weight, a.weight)) >= 0
-        return decide(_node_items(a, b), weight_sub(a.weight, b.weight)) < 0
+            return decide(_node_items(b, a), b.weight - a.weight) >= 0
+        return decide(_node_items(a, b), a.weight - b.weight) < 0
 
     def block_less(p: _Block, q: _Block) -> bool:
         if p.rank < q.rank:
-            return decide(_pair_items(q, p), weight_sub(q.total, p.total)) >= 0
-        return decide(_pair_items(p, q), weight_sub(p.total, q.total)) < 0
+            return decide(_pair_items(q, p), q.total - p.total) >= 0
+        return decide(_pair_items(p, q), p.total - q.total) < 0
 
     blocks = [
-        _Block(k, a, b, weight_add(a.weight, b.weight))
+        _Block(k, a, b, a.weight + b.weight)
         for k, (a, b) in enumerate(zip(leaves, leaves[1:]))
     ]
     for left, right in zip(blocks, blocks[1:]):
@@ -400,7 +393,7 @@ def phase1_depths(
         hi = heap[1] if len(heap) == 2 or node_less(heap[1], heap[2]) else heap[2]
         if hi.first < lo.first:
             lo, hi = hi, lo
-        b.lo, b.hi, b.total = lo, hi, weight_add(lo.weight, hi.weight)
+        b.lo, b.hi, b.total = lo, hi, lo.weight + hi.weight
         _sift_down(blocks, 0, block_less, True)
 
     return tree_depths(merged.shape)
@@ -413,44 +406,45 @@ def hu_tucker_phase1(
 ) -> tuple[tuple[int, ...], DecisionTrace | None]:
     """Combine phase under a shadow direction; returns (leaf depths, trace).
 
-    Every comparison is decided by `trace.recorder`: the sign of its
-    functional at w, and on an exact tie its sign on `s`. Which orientation
-    of `s` realizes which tie policy is measured by the harness, not
-    assumed here. When `on_record` is given, records stream to it and the
-    returned trace is None.
+    `trace.recorder` checks w and `s` and decides every comparison: the
+    sign of its functional at w, and on an exact tie its sign on `s`. Which
+    orientation of `s` realizes which tie policy is measured by the
+    harness, not assumed here. When `on_record` is given, records stream to
+    it and the returned trace is None.
     """
-    vec = require_nonnegative_weights(w)
-    n = len(vec)
-    check_shadow_length(n, s)
-    scale, scaled = clear_denominators(vec)
-    decide, finish = recorder(n, scale, s.entries, on_record)
-    return phase1_depths(scaled, add, sub, decide), finish()
+    scaled, decide, finish = recorder(w, s, on_record)
+    return phase1_depths(scaled, decide), finish()
 
 
 def phase1_explicit_shadow(
     w: Sequence[RationalLike], s: ShadowVector
 ) -> tuple[tuple[int, ...], DecisionTrace]:
-    """Combine phase over two-component weights (w_i, s_i), no tie policy.
+    """Combine phase at the concrete generic point w + s/M, no tie policy.
 
-    Every comparison is the lexicographic sign of the componentwise
-    difference: the shadow component, computed by this run's own
-    arithmetic, is the drift `recorder` falls back on at a tie. Emits the
-    same record stream as `hu_tucker_phase1` with the same shadow; a
-    comparison with both components zero raises DomainError (it never
-    happens for dyadic shadows).
+    t is `s` over its own common denominator and M = 2*sum|t_i| + 1; leaf i
+    weighs the int scaled_i * M + t_i, scaled_i being `recorder`'s. Each
+    decision goes through `recorder`'s rule on the diff at w alone, and on
+    a tie the packed drift f(t) must have the realized sign, or
+    StructureError is raised. Emits the same records as `hu_tucker_phase1`
+    with the same shadow; a comparison with both parts zero raises
+    DomainError (it never happens for dyadic shadows).
     """
-    vec = require_nonnegative_weights(w)
-    n = len(vec)
-    check_shadow_length(n, s)
-    scale, scaled = clear_denominators(vec)
-    decide, finish = recorder(n, scale, s.entries)
-    depths = phase1_depths(
-        list(zip(scaled, s.entries)),
-        lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        lambda a, b: (a[0] - b[0], a[1] - b[1]),
-        lambda items, diff: decide(items, *diff),
-    )
-    return depths, finish()
+    scaled, decide, finish = recorder(w, s)
+    t = clear_denominators(s.entries)[1]
+    half = sum(map(abs, t))
+    m = 2 * half + 1
+
+    def packed_decide(items, packed: int) -> int:
+        # Phase 1 coefficients are +-1 on distinct leaves, so |f(t)| <= half
+        # and packed + half = diff * M + (f(t) + half), 0 <= f(t) + half < M:
+        # the quotient is exactly the diff, and on a tie packed is f(t).
+        diff = (packed + half) // m
+        realized = decide(items, diff)
+        if not diff and (packed > 0) - (packed < 0) != realized:
+            raise StructureError("explicit run's drift contradicts the recorded tie sign")
+        return realized
+
+    return phase1_depths([x * m + e for x, e in zip(scaled, t)], packed_decide), finish()
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +550,7 @@ def dp_optimal_cost(w: Sequence[RationalLike]) -> Fraction:
 
 def enumerate_trees(n: int) -> Iterator[Tree]:
     """Yield every ordered binary tree over leaves 1..n. Capped at n = 12."""
+    _require_int("leaf count", n)
     if n < 1:
         raise DomainError(f"need at least one leaf, got {n}")
     if n > ENUMERATION_CAP:

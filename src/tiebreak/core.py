@@ -90,6 +90,12 @@ def _require_exact(name: str, value: object) -> Fraction:
     return Fraction(value)
 
 
+def _require_int(name: str, value: object) -> None:
+    """Raise StructureError unless `value` is an int; True is no size, count or seed."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise StructureError(f"{name} must be an integer, got {value!r}")
+
+
 def require_nonnegative_weights(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     """Exact numbers as a weight vector of at least one nonnegative entry.
 

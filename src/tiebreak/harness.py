@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
-from operator import add, sub
+from operator import add
 from typing import Sequence
 
 from .alphabetic import (
@@ -42,6 +42,7 @@ from .core import (
     _INT_RE,
     _parse_int,
     _require_exact,
+    _require_int,
     clear_denominators,
     format_rational,
     parse_rational,
@@ -81,12 +82,6 @@ FAMILY_NAMES = (
 DEGENERATE_FAMILIES = frozenset(FAMILY_NAMES) - {UNIFORM_RANDOM}
 
 _MAX_BLOCKS = 64
-
-
-def _require_int(name: str, value: object) -> None:
-    # bool is an int subclass, but True is no size, count or seed.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise StructureError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,6 +140,7 @@ def _random_dyadic(rng: random.Random, *, allow_zero: bool = True) -> Fraction:
 
 def generate(family: Family, n: int, seed: int | str) -> tuple[Fraction, ...]:
     """Deterministic weight vector for (family, n, seed)."""
+    _require_int("instance size", n)
     if n < 1:
         raise DomainError(f"instance size must be at least 1, got {n}")
     rng = random.Random(f"{family.token()}|{n}|{seed}")
@@ -327,7 +323,7 @@ def _replay_matches(
         return record[2]
 
     try:
-        redone = phase1_depths(clear_denominators(vec)[1], add, sub, decide)
+        redone = phase1_depths(clear_denominators(vec)[1], decide)
     except _PathMismatch:
         return False
     return redone == depths and next(pending, None) is None
@@ -370,7 +366,7 @@ def check_instance(
     boundary points with no admissible step stability is skipped; both
     cases are labeled, not failed. Weights, a precomputed `dp_cost` or the
     cost in `brute` (cost, optima) that is not an exact int or Fraction
-    raises StructureError.
+    raises StructureError, as does an optima count that is not an int.
     """
     vec = require_nonnegative_weights(w)
     n = len(vec)
@@ -380,6 +376,7 @@ def check_instance(
         dp_cost = _require_exact("dp_cost", dp_cost)
     if brute is not None:
         _require_exact("brute cost", brute[0])
+        _require_int("brute optima", brute[1])
     orientation = POLICY_ORIENTATION[policy]
     shadow = dyadic_shadow(n, orientation)
 
@@ -541,9 +538,9 @@ _BINDING_PROBES: tuple[tuple[Family, int], ...] = (
 def resolve_orientation_binding() -> dict[str, str]:
     """Measure which dyadic orientation realizes which tie policy.
 
-    Probes tie-heavy instances, solving each with explicit two-component
-    arithmetic under both orientations and with the positional reference
-    under both policies. Returns a fresh {policy: orientation} dict; raises
+    Probes tie-heavy instances, solving each with the explicit run at w +
+    s/M under both orientations and with the positional reference under
+    both policies. Returns a fresh {policy: orientation} dict; raises
     StructureError if the observations do not form a clean bijection. The
     probes are fixed, so this is measured once per process.
     """

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .core import RationalLike, clear_denominators, require_nonnegative_weights
 from .errors import CapacityError, StructureError
-from .perturb import ShadowVector, check_shadow_length, dyadic_shadow
+from .perturb import ShadowVector, dyadic_shadow
 from .trace import DecisionTrace, RecordSink, recorder
 
 BRUTE_FORCE_CAP = 16
@@ -82,13 +82,11 @@ def greedy_partition(
     returned trace is None; a placement's functional lists every index
     placed so far, so the full trace holds about n^2/2 support items.
     """
-    vec = require_nonnegative_weights(w)
-    n = len(vec)
-    if s is None:
+    n = len(w)
+    # An empty vector gets no default shadow, so `recorder` reports it as empty.
+    if s is None and n:
         s = dyadic_shadow(n)
-    check_shadow_length(n, s)
-    scale, scaled = clear_denominators(vec)
-    decide, finish = recorder(n, scale, s.entries, on_record)
+    scaled, decide, finish = recorder(w, s, on_record)
 
     # Nonincreasing insertion sort; ties fall to the shadow, so the order is
     # total and the comparison sequence deterministic. `order` holds only

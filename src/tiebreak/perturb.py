@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
-from .core import RationalLike, _require_exact
+from .core import RationalLike, _require_exact, _require_int
 from .errors import DomainError, StructureError
 
 POSITIVE = "positive"
@@ -42,7 +42,9 @@ class ShadowVector(namedtuple("ShadowVector", "entries")):
 
 
 def check_shadow_length(n: int, s: ShadowVector) -> None:
-    """Raise StructureError unless `s` has one entry for each of n weights."""
+    """Raise StructureError unless `s` is a ShadowVector with one entry for each of n weights."""
+    if not isinstance(s, ShadowVector):
+        raise StructureError(f"shadow must be a ShadowVector, got {s!r}")
     if len(s.entries) != n:
         raise StructureError(f"instance has {n} weights but shadow has {len(s.entries)}")
 
@@ -54,6 +56,7 @@ def dyadic_shadow(n: int, orientation: str = POSITIVE) -> ShadowVector:
     decrease, so the lowest-index nonzero coefficient of any functional
     decides the sign of its shadow evaluation.
     """
+    _require_int("shadow length", n)
     if n < 1:
         raise DomainError(f"shadow length must be at least 1, got {n}")
     if orientation not in ORIENTATIONS:

@@ -10,9 +10,9 @@ solver did not follow the claimed tie policy. A verified trace also yields
 a concrete step bound below which the whole decision path is insensitive
 to perturbation.
 
-Every solver branches through `recorder`, the single symbolic-perturbation
-decision rule, which also emits the records. The audits recompute that
-rule on their own, so they do not share the solver's code.
+Every recorded run enters through `recorder`, which checks and scales the
+instance and holds the one symbolic-perturbation decision rule. The
+audits recompute that rule on their own, so they share no solver code.
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ from typing import Callable, Sequence
 from .core import (
     LinearFunctional,
     RationalLike,
+    _require_int,
     clear_denominators,
     format_rational,
     parse_rational,
+    require_nonnegative_weights,
     sign,
 )
 from .errors import CorruptTraceError, DomainError, FormatError, PolicyMismatchError, StructureError
@@ -269,10 +271,12 @@ def load_trace(text: str, n: int) -> DecisionTrace:
     Lines end at `\n` (a `\r` before it is allowed), and a line holding only
     spaces, tabs and `\r` is ignored. Any malformed line, unknown key, or
     record that contradicts itself raises FormatError naming the line: steps
-    must count up from 1, every coefficient index must be in 1..n, the tie
-    flag must say whether the value is 0, and a nonzero value's sign must be
-    the branch's (L negative, R positive).
+    must count up from 1, every coefficient index must be in 1..n and every
+    coefficient nonzero, the tie flag must say whether the value is 0, and
+    a nonzero value's sign must be the branch's (L negative, R positive). A
+    size n that is not an int raises StructureError.
     """
+    _require_int("trace instance size", n)
     if n < 1:
         raise FormatError(f"trace instance size must be >= 1, got {n}")
     # Imported here, so that importing this module does not load json.
@@ -343,6 +347,8 @@ def _record_from_obj(
         coeff = coeff_memo.get(text)
         if coeff is None:
             parsed = parse_rational(text)
+            if not parsed:
+                raise FormatError(f"coefficient for index {key} is zero")
             # Integral coefficients are held as ints so functionals from a
             # file compare equal, structurally, to freshly built ones.
             coeff = parsed.numerator if parsed.denominator == 1 else parsed
@@ -379,54 +385,49 @@ def _record_from_obj(
 
 
 def recorder(
-    n: int,
-    scale: int,
-    shadow_entries: Sequence[RationalLike],
-    on_record: RecordSink | None = None,
-) -> tuple[Callable[..., int], Callable[[], DecisionTrace | None]]:
-    """The one symbolic-perturbation decision rule, for a run over n entries.
+    w: Sequence[RationalLike], s: ShadowVector, on_record: RecordSink | None = None
+) -> tuple[list[int], Callable[..., int], Callable[[], DecisionTrace | None]]:
+    """The one entry into a recorded run over weights w and shadow `s`.
 
-    Returns `(decide, finish)`. `decide(items, diff, drift=None)` judges one
-    comparison: `items` is its functional as signed items (nonzero `(index,
-    coefficient)` pairs, sorted, unique and 1-based) and `diff` its value at
-    the instance, times `scale`. The realized sign is the sign of `diff`,
-    and on an exact tie the sign of `drift`, which defaults to the
-    functional's value on `shadow_entries` (Edelsbrunner and Muecke,
-    "Simulation of Simplicity", ACM TOG 9(1), 1990). A tie that the drift
-    leaves at zero raises DomainError naming the step, the call's number
-    from 1. Every call emits one record, with value diff / scale. Records
-    stream to `on_record` when it is given, and then `finish()` returns None;
-    otherwise `finish()` returns them as a DecisionTrace, whose records
-    share one `Fraction` per distinct diff. Streamed records each get their
-    own, so that a sink that drops them keeps memory flat. No validating
-    constructor runs: the rule makes each record's sign agree with its
-    value, and callers pass indices in 1..n.
+    Checks w and `s` and returns `(scaled, decide, finish)`: `scaled` is w
+    times its common denominator `scale`, as ints. `decide(items, diff)`
+    judges one comparison, given as signed items (nonzero `(index,
+    coefficient)` pairs, sorted, unique, 1-based) and its value `diff` at
+    `scaled`: its sign is that of `diff`, and on an exact tie the
+    functional's sign on `s` (Edelsbrunner and Muecke, "Simulation of
+    Simplicity", ACM TOG 9(1), 1990). A tie that `s` leaves at zero raises
+    DomainError naming the step, the call's number from 1. Each call emits
+    one record, of value diff / scale, to `on_record` when it is given
+    (then `finish()` returns None), or else to the DecisionTrace that
+    `finish()` returns, whose records share one `Fraction` per distinct
+    diff; streamed ones each get their own, so a sink that drops them keeps
+    memory flat. Records are minted unchecked: the rule makes each sign
+    agree with its value, and callers pass indices in 1..n.
     """
+    scale, scaled = clear_denominators(require_nonnegative_weights(w))
+    n = len(scaled)
+    check_shadow_length(n, s)
     records: list[ComparisonRecord] = []
     sink = records.append if on_record is None else on_record
     new = tuple.__new__
     values: dict[int, Fraction] = {}
     keep_values = on_record is None
     # Index 0 is padding, so that 1-based indices need no shift.
-    at_s = (0, *shadow_entries)
+    at_s = (0, *s.entries)
     step = 0
 
-    def decide(items: Sequence[tuple[int, RationalLike]], diff: int, drift=None) -> int:
+    def decide(items: Sequence[tuple[int, RationalLike]], diff: int) -> int:
         nonlocal step
         step += 1
         if diff:
             realized = 1 if diff > 0 else -1
         else:
-            if drift is None:
-                drift = 0
-                for i, c in items:
-                    drift += c * at_s[i]
-            if drift > 0:
-                realized = 1
-            elif drift < 0:
-                realized = -1
-            else:
+            drift = 0
+            for i, c in items:
+                drift += c * at_s[i]
+            if not drift:
                 raise DomainError(f"shadow direction fails to resolve the tie at step {step}")
+            realized = 1 if drift > 0 else -1
         primary = values.get(diff)
         if primary is None:
             primary = Fraction(diff, scale)
@@ -438,7 +439,7 @@ def recorder(
     def finish() -> DecisionTrace | None:
         return DecisionTrace._make((n, tuple(records))) if on_record is None else None
 
-    return decide, finish
+    return scaled, decide, finish
 
 
 RecordSink = Callable[[ComparisonRecord], None]

@@ -12,6 +12,7 @@ from typing import Sequence
 
 import pytest
 
+from tiebreak import alphabetic
 from tiebreak.alphabetic import (
     ENUMERATION_CAP,
     LEFTMOST,
@@ -452,6 +453,53 @@ def test_policy_and_explicit_runs_emit_identical_records() -> None:
             depths_b, trace_b = phase1_explicit_shadow(w, s)
             assert depths_a == depths_b
             assert trace_a.records == trace_b.records
+
+
+def _solve_or_error(run, w, s):
+    try:
+        return run(w, s)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_explicit_run_packs_any_exact_shadow() -> None:
+    # Shadows with fractional entries of both signs, and zero entries, so
+    # some ties stay unresolved: the packed run must split every difference
+    # exactly, emit the policy run's records, and fail at the same step.
+    rng = random.Random("alphabetic-packed")
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        w = tuple(Fraction(rng.randint(0, 3)) for _ in range(n))
+        s = ShadowVector(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)))
+        a = _solve_or_error(hu_tucker_phase1, w, s)
+        b = _solve_or_error(phase1_explicit_shadow, w, s)
+        if isinstance(a, str):
+            assert a == b
+        else:
+            assert a[0] == b[0] and a[1].records == b[1].records
+        outcomes.add(isinstance(a, str))
+    assert outcomes == {True, False}
+
+
+def test_explicit_run_checks_each_tie_sign_against_its_own_drift(monkeypatch) -> None:
+    # A rule that flips every tie's sign: the explicit run reads the drift
+    # off its packed weights, so it must refuse the flipped sign.
+    recorder = alphabetic.recorder
+
+    def flipping_recorder(*args):
+        scaled, decide, finish = recorder(*args)
+
+        def flipped(items, diff) -> int:
+            realized = decide(items, diff)
+            return realized if diff else -realized
+
+        return scaled, flipped, finish
+
+    monkeypatch.setattr(alphabetic, "recorder", flipping_recorder)
+    for policy in (LEFTMOST, RIGHTMOST):
+        with pytest.raises(StructureError, match="drift contradicts"):
+            phase1_explicit_shadow((1, 1, 1, 1), _shadow_for(policy, 4))
 
 
 def test_mirrored_instances_solve_to_mirrored_trees() -> None:

@@ -16,12 +16,12 @@ from tiebreak.core import (
     require_nonnegative_weights,
     sign,
 )
-from tiebreak.alphabetic import tree_cost
+from tiebreak.alphabetic import enumerate_trees, tree_cost
 from tiebreak.errors import DomainError, FormatError, StructureError
-from tiebreak.harness import check_instance, check_lipschitz
+from tiebreak.harness import Family, check_instance, check_lipschitz, generate
 from tiebreak.partition import partition_value
 from tiebreak.perturb import NEGATIVE, dyadic_shadow, max_step_in_domain
-from tiebreak.trace import DecisionTrace, verify_policy
+from tiebreak.trace import DecisionTrace, load_trace, verify_policy
 
 #: More digits than int() converts from text by default (4,300).
 HUGE = "1" * 5000
@@ -138,6 +138,25 @@ def test_every_exact_entry_point_rejects_floats(run) -> None:
     # passed (0.1, 0.2, 0.3) with cost 8106479329266893/9007199254740992.
     with pytest.raises(StructureError, match=r"must be an exact int or Fraction, got (0\.5|0\.1|1\.0)$"):
         run()
+
+
+@pytest.mark.parametrize("value", [True, 2.5, Fraction(2), "2"], ids=["bool", "float", "Fraction", "str"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda v: generate(Family.parse("all-equal"), v, 1),
+        lambda v: dyadic_shadow(v),
+        lambda v: enumerate_trees(v),
+        lambda v: load_trace("", v),
+        lambda v: check_instance((1, 1, 1), "leftmost", brute=(Fraction(5), v)),
+    ],
+    ids=["generate", "dyadic_shadow", "enumerate_trees", "load_trace", "check_instance-optima"],
+)
+def test_every_size_and_count_must_be_an_int(run, value) -> None:
+    # Each of these once ran on a bool or float: load_trace("", 1.5) built a
+    # trace with n = 1.5, and check_instance wrote "optima": 2.5 in its row.
+    with pytest.raises(StructureError, match=re.escape(f"must be an integer, got {value!r}")):
+        run(value)
 
 
 def test_clear_denominators() -> None:

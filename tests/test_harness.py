@@ -7,7 +7,6 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from operator import add, sub
 
 import pytest
 
@@ -349,7 +348,7 @@ def test_check_instance_mints_records_only_for_the_solve(monkeypatch) -> None:
     minted: list[int] = []
 
     def counting_recorder(*args):
-        decide, finish = recorder(*args)
+        scaled, decide, finish = recorder(*args)
         decides.append(0)
 
         def counting_decide(*decide_args):
@@ -361,7 +360,7 @@ def test_check_instance_mints_records_only_for_the_solve(monkeypatch) -> None:
             minted.extend(made.records)
             return made
 
-        return counting_decide, counting_finish
+        return scaled, counting_decide, counting_finish
 
     monkeypatch.setattr(alphabetic, "recorder", counting_recorder)
     verdict = check_instance(w, RIGHTMOST)
@@ -499,7 +498,7 @@ class _PathMismatch(Exception):
     pass
 
 
-def _path_repeats(entry_weights, weight_add, weight_sub, decide, depths, pending) -> bool:
+def _path_repeats(entry_weights, decide, depths, pending) -> bool:
     """Reference: phase 1 with a checking `decide` must repeat the solve's path.
 
     `decide` raises _PathMismatch at the first decision that differs from
@@ -507,19 +506,28 @@ def _path_repeats(entry_weights, weight_add, weight_sub, decide, depths, pending
     and leave no record unused.
     """
     try:
-        redone = phase1_depths(entry_weights, weight_add, weight_sub, decide)
+        redone = phase1_depths(entry_weights, decide)
     except _PathMismatch:
         return False
     return redone == depths and next(pending, None) is None
 
 
 def _explicit_reference(w, s, depths, trace) -> bool:
-    """Reference explicit replay: its own lexicographic (diff, drift) decisions."""
+    """Reference explicit replay: its own lexicographic (diff, drift) decisions.
+
+    Leaf i weighs scaled_i * M + t_i, t the shadow over its common
+    denominator and M above twice any |f(t)|, so each packed difference
+    splits into the diff at w and the drift on t.
+    """
     scale, scaled = clear_denominators(w)
+    _, t = clear_denominators(s.entries)
+    half = sum(abs(e) for e in t)
+    m = 2 * half + 1
     pending = iter(trace.records)
 
-    def decide(items, diff) -> int:
-        d, drift = diff
+    def decide(items, packed) -> int:
+        d, rest = divmod(packed + half, m)
+        drift = rest - half
         if d:
             realized = 1 if d > 0 else -1
         elif drift:
@@ -538,14 +546,7 @@ def _explicit_reference(w, s, depths, trace) -> bool:
             raise _PathMismatch
         return realized
 
-    return _path_repeats(
-        list(zip(scaled, s.entries)),
-        lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        lambda a, b: (a[0] - b[0], a[1] - b[1]),
-        decide,
-        depths,
-        pending,
-    )
+    return _path_repeats([x * m + e for x, e in zip(scaled, t)], decide, depths, pending)
 
 
 def _perturbed_reference(w, s, step, depths, trace) -> bool:
@@ -566,7 +567,7 @@ def _perturbed_reference(w, s, step, depths, trace) -> bool:
             raise _PathMismatch
         return realized
 
-    return _path_repeats(moved, add, sub, decide, depths, pending)
+    return _path_repeats(moved, decide, depths, pending)
 
 
 def _audit_passes(w, s, trace) -> bool:

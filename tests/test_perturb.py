@@ -145,3 +145,7 @@ def test_every_entry_point_rejects_a_shadow_of_another_length(run) -> None:
         run(w, ShadowVector((-1,)))
     with pytest.raises(StructureError, match="instance has 3 weights but shadow has 2"):
         run(w, ShadowVector((-8, -4)))
+    # A plain tuple of the right length is no shadow either; it used to
+    # raise a bare AttributeError on `.entries`.
+    with pytest.raises(StructureError, match=r"shadow must be a ShadowVector, got \(-8, -4, -2\)"):
+        run(w, (-8, -4, -2))

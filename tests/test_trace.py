@@ -52,7 +52,8 @@ def test_recorder_derives_tie_and_branch() -> None:
     # The recorder mints records without the validating constructor, so the
     # fields it sets must be ones that constructor accepts. The tie flag and
     # the dumped step and branch follow from them.
-    decide, finish = recorder(2, 5, (4, 2))
+    scaled, decide, finish = recorder((Fraction(1, 5), Fraction(2, 5)), ShadowVector((4, 2)))
+    assert scaled == [1, 2]
     assert decide(F12, -2) == -1
     assert decide(F12, 0) == 1  # shadow value 4 - 2
     trace = finish()
@@ -169,31 +170,47 @@ def test_trace_requires_consecutive_steps_within_range() -> None:
 
 
 def test_recorder_numbers_records_and_breaks_ties_on_the_shadow() -> None:
-    decide, finish = recorder(2, 2, (4, 2))
+    scaled, decide, finish = recorder((Fraction(1, 2), 1), ShadowVector((4, 2)))
+    assert scaled == [1, 2]
     items = ((1, -1), (2, 1))
     assert decide(items, 3) == 1
     assert decide(items, -1) == -1
     assert decide(items, 0) == -1  # shadow value -4 + 2
-    assert decide(items, 0, 5) == 1  # a given drift replaces the shadow value
+    assert decide(items, 0) == -1
     with pytest.raises(DomainError, match="step 5"):
-        decide(items, 0, 0)
+        decide(((1, -1), (2, 2)), 0)  # shadow value -4 + 4
     trace = finish()
     assert trace.n == 2
     assert [(r.primary_value, r.realized_sign, r.tie) for r in trace.records] == [
         (Fraction(3, 2), 1, False),
         (Fraction(-1, 2), -1, False),
         (0, -1, True),
-        (0, 1, True),
+        (0, -1, True),
     ]
     assert all(r.functional == LinearFunctional(items) for r in trace.records)
     # One Fraction per distinct value.
     assert trace.records[2].primary_value is trace.records[3].primary_value
 
     streamed: list[ComparisonRecord] = []
-    decide, finish = recorder(2, 1, (4, 2), streamed.append)
+    scaled, decide, finish = recorder((1, 3), ShadowVector((4, 2)), streamed.append)
+    assert scaled == [1, 3]
     assert decide(((1, 1),), 1) == 1
     assert finish() is None
     assert streamed == [ComparisonRecord(LinearFunctional({1: 1}), Fraction(1), 1)]
+
+
+def test_recorder_checks_the_weights_and_the_shadow() -> None:
+    s = ShadowVector((4, 2))
+    with pytest.raises(StructureError, match="at least one entry"):
+        recorder((), s)
+    with pytest.raises(DomainError, match="weight 2 is negative"):
+        recorder((1, -1), s)
+    with pytest.raises(StructureError, match="must be an exact int or Fraction"):
+        recorder((1, 0.5), s)
+    with pytest.raises(StructureError, match="instance has 3 weights but shadow has 2"):
+        recorder((1, 2, 3), s)
+    with pytest.raises(StructureError, match="shadow must be a ShadowVector"):
+        recorder((1, 2), (4, 2))
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -280,6 +297,10 @@ def test_load_names_the_first_line_with_a_bad_token(second: str, message: str) -
 def test_dump_of_an_empty_trace_is_empty() -> None:
     assert dump_trace(DecisionTrace(n=1, records=())) == ""
     assert load_trace("", 1).records == ()
+    # A size below 1 is a FormatError; one that is not an int is rejected
+    # with the other sizes in test_core.
+    with pytest.raises(FormatError, match="trace instance size must be >= 1, got 0"):
+        load_trace("", 0)
 
 
 def test_load_names_the_line_of_an_index_outside_the_instance() -> None:
@@ -349,6 +370,7 @@ def test_load_reads_crlf_line_endings() -> None:
         ('{"step": 1, "coeffs": {"1": "1", "01": "-1", "2": "1"}, "value": "1", "tie": false, "branch": "R"}', "index '01' repeats index 1"),
         ('\ufeff{"step": 1, "coeffs": {"1": "1"}, "value": "1", "tie": false, "branch": "R"}', "Unexpected UTF-8 BOM"),
         ('{"step": 1, "coeffs": {"1": "1"}, "value": "1", "tie": false, "branch": "R"} {}', "Extra data"),
+        ('{"step": 1, "coeffs": {"1": "0", "2": "1"}, "value": "1", "tie": false, "branch": "R"}', "coefficient for index 1 is zero"),
     ],
 )
 def test_load_rejects_malformed_records(line: str, message: str) -> None:
